@@ -8,10 +8,10 @@ from .fuzzy import (
     Interval,
     IT2Word,
     LingoptError,
+    NoRuleFiredError,
     Trapezoid,
     alpha_cut,
     classify_fou,
-    membership_envelope,
 )
 from .similarity import (
     Centroid,
@@ -35,8 +35,6 @@ from .codebook import (
     save_codebook,
 )
 from .reasoning import (
-    FiringLevel,
-    NoRuleFiredError,
     Objective,
     PrOutput,
     Rule,

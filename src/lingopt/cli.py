@@ -26,7 +26,7 @@ from .codebook import (
     parse_endpoint_specs,
     sample_person_fou,
 )
-from .fuzzy import DomainError, IT2Word, LingoptError
+from .fuzzy import DomainError, IT2Word, LingoptError, NoRuleFiredError
 from .problems import (
     EngineMismatchError,
     ProblemBundle,
@@ -35,7 +35,6 @@ from .problems import (
     solve_pr_bundle,
     solve_two_tuple_bundle,
 )
-from .reasoning import NoRuleFiredError
 from .similarity import DegenerateWordError, Discretization
 from .twotuple import OutOfScaleError, overflow_check
 
@@ -75,13 +74,12 @@ def _fou_cells(w: IT2Word) -> list[str]:
 def _solve_pr(bundle: ProblemBundle, args) -> str:
     cb = load_codebook(args.codebook or bundle.codebook_id)
     d = Discretization(points=args.grid, scale=cb.scale)
-    result = solve_pr_bundle(bundle, cb, d, levels=args.levels)
+    result = solve_pr_bundle(bundle, cb, d)
     row = _Row([11, 9] + [6] * 9 + [6, 6, 6, 4])
     lines = [
         "engine = pr",
         f"problem = {bundle.name}",
         f"codebook = {args.codebook or bundle.codebook_id}",
-        f"levels = {args.levels}",
         f"grid = {args.grid}",
         "",
         row(
@@ -176,7 +174,7 @@ def _cmd_export_fou(args) -> int:
     if args.problem:
         bundle = load_problem(args.problem)
         cb = load_codebook(args.codebook or bundle.codebook_id)
-        result = solve_pr_bundle(bundle, cb, levels=args.levels)
+        result = solve_pr_bundle(bundle, cb)
         for alt in bundle.alternatives:
             for obj, out in zip(bundle.objectives, result.outputs[alt.label]):
                 items.append((f"{alt.label}:{obj.name}", out.fou))
@@ -227,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("engine", choices=["pr", "two-tuple", "tsukamoto"])
     solve.add_argument("--problem", required=True, help="problem fixture id or file")
     solve.add_argument("--codebook", default=None, help="codebook fixture id or file")
-    solve.add_argument("--levels", type=int, default=101, help="alpha levels for the LWA")
     solve.add_argument("--grid", type=int, default=1001, help="discretization points")
     solve.add_argument("--step", type=float, default=1e-3, help="tsukamoto grid step")
     solve.add_argument("--format", choices=["table", "csv"], default="table")
@@ -241,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     export = sub.add_parser("export-fou", help="write FOU polygon vertices as CSV")
     export.add_argument("--codebook", default=None)
     export.add_argument("--problem", default=None)
-    export.add_argument("--levels", type=int, default=101)
     export.add_argument("--out", required=True, help="output path, or - for stdout")
     export.set_defaults(fn=_cmd_export_fou)
 
@@ -262,7 +258,7 @@ def main(argv=None) -> int:
     except EngineMismatchError as e:
         print(f"lingopt: usage error: {e}", file=sys.stderr)
         return USAGE_ERROR
-    except (NoRuleFiredError, tsk.NoRuleFiredError, DegenerateWordError, OutOfScaleError) as e:
+    except (NoRuleFiredError, DegenerateWordError, OutOfScaleError) as e:
         print(f"lingopt: engine error: {e}", file=sys.stderr)
         return ENGINE_ERROR
     except (ProblemError, CodebookError, EndpointSpecError) as e:

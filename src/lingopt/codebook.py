@@ -287,7 +287,8 @@ def load_codebook(source: Union[str, Path]) -> Codebook:
 # Text format
 
 
-def _clean_lines(text: str) -> list[str]:
+def clean_lines(text: str) -> list[str]:
+    """Non-empty lines of a text file with ``#`` comments stripped."""
     out = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -314,7 +315,7 @@ def _floats(value: str, n: int, where: str) -> list[float]:
 
 
 def parse_codebook(text: str) -> Codebook:
-    lines = _clean_lines(text)
+    lines = clean_lines(text)
     if not lines or lines[0] != "codebook v1":
         raise CodebookError("codebook file must start with 'codebook v1'")
     scale = _SCALE
@@ -332,10 +333,8 @@ def parse_codebook(text: str) -> Codebook:
         if "umf" not in record or "lmf" not in record:
             raise CodebookError(f"word {name!r}: missing umf or lmf line")
         umf = _floats(record["umf"], 4, f"word {name!r} umf")
-        lmf_parts = record["lmf"].split()
-        if len(lmf_parts) not in (4, 5):
-            raise CodebookError(f"word {name!r} lmf: expected 'a b c d [h]'")
-        lmf_vals = [float(p) for p in lmf_parts]
+        n_lmf = 5 if len(record["lmf"].split()) == 5 else 4
+        lmf_vals = _floats(record["lmf"], n_lmf, f"word {name!r} lmf")
         h = lmf_vals[4] if len(lmf_vals) == 5 else 1.0
         centroid = None
         if "centroid" in record:
@@ -400,7 +399,7 @@ def save_codebook(cb: Codebook, path: Union[str, Path]) -> None:
 
 
 def parse_endpoint_specs(text: str) -> list[EndpointSpec]:
-    lines = _clean_lines(text)
+    lines = clean_lines(text)
     if not lines or lines[0] != "endpoints v1":
         raise EndpointSpecError("end-point file must start with 'endpoints v1'")
     scale = _SCALE

@@ -29,6 +29,10 @@ class DomainError(LingoptError, ValueError):
     """An argument is outside the domain an operation is defined on."""
 
 
+class NoRuleFiredError(LingoptError):
+    """Every rule fired at zero; the inferred output would be undefined."""
+
+
 @dataclass(frozen=True)
 class Interval:
     """A closed real interval [lo, hi]."""
@@ -163,11 +167,6 @@ class IT2Word:
                 raise DomainError(
                     f"word {self.name!r}: lmf membership {lo:.6f} exceeds umf {hi:.6f} at x={x}"
                 )
-
-
-def membership_envelope(w: IT2Word, x: float) -> Interval:
-    """Pointwise [LMF(x), UMF(x)] band of the word's footprint of uncertainty."""
-    return w.membership(x)
 
 
 def classify_fou(w: IT2Word, scale: Interval) -> FouShape:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
-from .codebook import Codebook
+from .codebook import Codebook, clean_lines
 from .fuzzy import LingoptError
 from .reasoning import (
     AUTO,
@@ -35,7 +35,7 @@ from .reasoning import (
     solve_molop,
 )
 from .similarity import Discretization, rank_by_centroid
-from .twotuple import OrdinalTermSet, TwoTuple, molop_solve, rank_two_tuples, solop_aggregate
+from .twotuple import OrdinalTermSet, TwoTuple, molop_solve, solop_aggregate
 
 
 class ProblemError(LingoptError, ValueError):
@@ -96,6 +96,18 @@ class ProblemBundle:
 # Solving a bundle with each engine
 
 
+def _rank(bundle: ProblemBundle, scores: dict[str, list[float]]) -> list[str]:
+    """Rank alternatives on the first ranking objective's score, with the
+    second ranking objective (if any) breaking ties."""
+    primary = bundle.objective_index(bundle.ranking[0])
+    tiebreak = bundle.objective_index(bundle.ranking[1]) if len(bundle.ranking) > 1 else None
+    items = [
+        (alt.label, scores[alt.label][primary], None if tiebreak is None else scores[alt.label][tiebreak])
+        for alt in bundle.alternatives
+    ]
+    return rank_by_centroid(items, direction=bundle.objectives[primary].direction)
+
+
 @dataclass(frozen=True, eq=False)
 class PrBundleResult:
     outputs: dict[str, list[PrOutput]]  # label -> one PrOutput per objective
@@ -106,7 +118,6 @@ def solve_pr_bundle(
     bundle: ProblemBundle,
     cb: Codebook,
     d: Optional[Discretization] = None,
-    levels: int = 101,
 ) -> PrBundleResult:
     outputs: dict[str, list[PrOutput]] = {}
     for alt in bundle.alternatives:
@@ -115,19 +126,9 @@ def solve_pr_bundle(
                 f"alternative {alt.label!r} has no input vector to fire the rules with"
             )
         rb = RuleBase(alt.rules, bundle.objectives)
-        outputs[alt.label] = solve_molop(rb, alt.input, cb, d, levels)
-    primary = bundle.objective_index(bundle.ranking[0])
-    tiebreak = bundle.objective_index(bundle.ranking[1]) if len(bundle.ranking) > 1 else None
-    direction = bundle.objectives[primary].direction
-    items = [
-        (
-            alt.label,
-            outputs[alt.label][primary].centroid,
-            outputs[alt.label][tiebreak].centroid if tiebreak is not None else None,
-        )
-        for alt in bundle.alternatives
-    ]
-    return PrBundleResult(outputs, rank_by_centroid(items, direction=direction))
+        outputs[alt.label] = solve_molop(rb, alt.input, cb, d)
+    means = {label: [o.centroid.mean for o in outs] for label, outs in outputs.items()}
+    return PrBundleResult(outputs, _rank(bundle, means))
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,18 +173,8 @@ def solve_two_tuple_bundle(bundle: ProblemBundle) -> TwoTupleBundleResult:
                     )
                 )
             outputs[alt.label] = molop_solve(rules, ts)
-    primary = bundle.objective_index(bundle.ranking[0])
-    tiebreak = bundle.objective_index(bundle.ranking[1]) if len(bundle.ranking) > 1 else None
-    direction = bundle.objectives[primary].direction
-    items = [
-        (
-            alt.label,
-            outputs[alt.label][primary],
-            outputs[alt.label][tiebreak] if tiebreak is not None else None,
-        )
-        for alt in bundle.alternatives
-    ]
-    return TwoTupleBundleResult(outputs, rank_two_tuples(items, direction=direction), ts)
+    betas = {label: [t.beta for t in outs] for label, outs in outputs.items()}
+    return TwoTupleBundleResult(outputs, _rank(bundle, betas), ts)
 
 
 # ---------------------------------------------------------------------------
@@ -302,15 +293,6 @@ def load_problem(source: Union[str, Path]) -> ProblemBundle:
 # Text format
 
 
-def _clean(text: str) -> list[str]:
-    out = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append(line)
-    return out
-
-
 def _parse_slots(spec: str) -> tuple[int, ...]:
     slots: list[int] = []
     for part in spec.split(","):
@@ -332,7 +314,7 @@ def _format_slots(slots: tuple[int, ...]) -> str:
 
 
 def parse_problem(text: str) -> ProblemBundle:
-    lines = _clean(text)
+    lines = clean_lines(text)
     if not lines or lines[0] != "problem v1":
         raise ProblemError("problem file must start with 'problem v1'")
     name = "unnamed"

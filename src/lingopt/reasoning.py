@@ -1,16 +1,14 @@
 """Perceptual reasoning: rule firing, linguistic weighted average, decoding.
 
 Inference runs in three steps.  ``fire`` scores an input word vector against
-a rule's antecedents (minimum t-norm of pairwise Jaccard similarities).
-``lwa`` combines the fired consequent words through the linguistic weighted
-average, computed level by level on alpha-cuts: the output UMF cut ends are
-the min/max of sum(a_i * f_i) / sum(f_i) over the firing intervals, the LMF
-cuts likewise on [0, h] where h is the smallest fired-consequent LMF height.
-``decode`` maps the resulting FOU back to a codebook word.
-
-With scalar firing levels (the only case a similarity-based firing produces)
-the optimisation collapses to a plain weighted average and the output FOU is
-an exact trapezoid; the interval machinery is still implemented and tested.
+a rule's antecedents: the minimum t-norm of pairwise Jaccard similarities,
+a crisp number in [0, 1].  ``lwa`` combines the fired consequent words
+through the linguistic weighted average.  With crisp firings and trapezoidal
+FOUs the average is itself a trapezoid, computed exactly from the vertices:
+the UMF is the firing-weighted average of the consequent UMFs, and the LMF
+the weighted average of the consequent LMFs cut at h, the smallest
+fired-consequent LMF height.  ``decode`` maps the output FOU back to a
+codebook word.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .codebook import Codebook
-from .fuzzy import DomainError, IT2Word, LingoptError, Trapezoid
+from .fuzzy import DomainError, IT2Word, NoRuleFiredError, Trapezoid
 from .similarity import (
     Centroid,
     Discretization,
@@ -29,33 +27,6 @@ from .similarity import (
     jaccard,
     jaccard_sampled,
 )
-
-DEFAULT_LEVELS = 101
-
-
-class NoRuleFiredError(LingoptError):
-    """Every rule fired at zero; the output would be undefined."""
-
-
-@dataclass(frozen=True)
-class FiringLevel:
-    """Rule activation in [0, 1]; scalar firing is the degenerate lo == hi."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.lo <= self.hi <= 1.0:
-            raise DomainError(f"firing level must satisfy 0 <= lo <= hi <= 1, got [{self.lo}, {self.hi}]")
-
-    @classmethod
-    def scalar(cls, value: float) -> "FiringLevel":
-        return cls(value, value)
-
-    @property
-    def is_scalar(self) -> bool:
-        return self.lo == self.hi
-
 
 AUTO = "auto"  # consequent synthesised from antecedents, kept as a raw FOU
 AUTO_WORD = "auto-word"  # synthesised, then decoded to the nearest codebook word
@@ -108,158 +79,49 @@ class RuleBase:
 
 
 # ---------------------------------------------------------------------------
-# Fractional-programming extremes over a box of firing levels
+# Linguistic weighted average
 
 
-def _frac_extreme(values: np.ndarray, f_lo: np.ndarray, f_hi: np.ndarray, maximize: bool) -> float:
-    """Extreme of sum(values*f)/sum(f) over f_i in [f_lo_i, f_hi_i].
+def lwa(consequents: Sequence[IT2Word], firings: Sequence[float]) -> IT2Word:
+    """Linguistic weighted average of the fired consequents, as an exact trapezoid.
 
-    The optimum is attained by a single-switch assignment in the order of
-    ``values``: the minimum puts upper weights on the smallest values, the
-    maximum on the largest.  All switch positions are evaluated.
-    """
-    order = np.argsort(values, kind="stable")
-    v, lo, hi = values[order], f_lo[order], f_hi[order]
-    zero = np.zeros(1)
-    cum_v_lo = np.concatenate([zero, np.cumsum(v * lo)])
-    cum_v_hi = np.concatenate([zero, np.cumsum(v * hi)])
-    cum_lo = np.concatenate([zero, np.cumsum(lo)])
-    cum_hi = np.concatenate([zero, np.cumsum(hi)])
-    if maximize:
-        # lower weights on the k smallest values, upper on the rest
-        num = cum_v_lo + (cum_v_hi[-1] - cum_v_hi)
-        den = cum_lo + (cum_hi[-1] - cum_hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(den > 0, num / den, -np.inf)
-        return float(ratios.max())
-    num = cum_v_hi + (cum_v_lo[-1] - cum_v_lo)
-    den = cum_hi + (cum_lo[-1] - cum_lo)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(den > 0, num / den, np.inf)
-    return float(ratios.min())
-
-
-# ---------------------------------------------------------------------------
-# Output FOU as dense alpha-level curves
-
-
-@dataclass(frozen=True, eq=False)
-class AlphaCurves:
-    """Endpoint curves of an inferred FOU.
-
-    ``upper_alphas`` spans [0, 1] with curves ``y_ll`` (left) / ``y_rr``
-    (right); ``lower_alphas`` spans [0, h] with ``y_lr`` / ``y_rl``.
-    """
-
-    upper_alphas: np.ndarray
-    y_ll: np.ndarray
-    y_rr: np.ndarray
-    lower_alphas: np.ndarray
-    y_lr: np.ndarray
-    y_rl: np.ndarray
-    h: float
-
-    def to_word(self, name: str = "") -> IT2Word:
-        """Trapezoid view from the bottom and top cuts (exact for scalar firings)."""
-
-        def trap(left: np.ndarray, right: np.ndarray, h: float) -> Trapezoid:
-            a, d = left[0], right[0]
-            # clip against float noise in the monotone curves
-            b = min(max(left[-1], a), d)
-            c = min(max(right[-1], b), d)
-            return Trapezoid(a, b, c, d, h)
-
-        return IT2Word(name, trap(self.y_ll, self.y_rr, 1.0), trap(self.y_lr, self.y_rl, self.h))
-
-    def membership_grid(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        lower = _curve_membership(xs, self.lower_alphas, self.y_lr, self.y_rl)
-        upper = _curve_membership(xs, self.upper_alphas, self.y_ll, self.y_rr)
-        return lower, np.maximum(lower, upper)
-
-
-def _invert_monotone(xs: np.ndarray, curve: np.ndarray, alphas: np.ndarray, increasing: bool) -> np.ndarray:
-    """Membership implied by one side curve: sup of alpha whose cut still covers x."""
-    top = alphas[-1]
-    if increasing:
-        ys, al = curve, alphas
-    else:
-        ys, al = curve[::-1], alphas[::-1]
-    idx = np.searchsorted(ys, xs, side="right")
-    out = np.empty_like(xs)
-    out[idx == ys.size] = top if increasing else al[-1]
-    out[idx == 0] = al[0] if not increasing else 0.0
-    mid = (idx > 0) & (idx < ys.size)
-    i = idx[mid]
-    y0, y1 = ys[i - 1], ys[i]
-    a0, a1 = al[i - 1], al[i]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frac = np.where(y1 > y0, (xs[mid] - y0) / (y1 - y0), 0.0)
-    out[mid] = a0 + frac * (a1 - a0)
-    return out
-
-
-def _curve_membership(xs: np.ndarray, alphas: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    xs = np.asarray(xs, dtype=float)
-    m_left = np.where(xs >= left[-1], alphas[-1], _invert_monotone(xs, left, alphas, increasing=True))
-    m_right = np.where(xs <= right[-1], alphas[-1], _invert_monotone(xs, right, alphas, increasing=False))
-    out = np.minimum(m_left, m_right)
-    out[(xs < left[0]) | (xs > right[0])] = 0.0
-    return np.clip(out, 0.0, alphas[-1])
-
-
-def lwa(
-    consequents: Sequence[IT2Word],
-    firings: Sequence[Union[FiringLevel, float]],
-    levels: int = DEFAULT_LEVELS,
-) -> AlphaCurves:
-    """Linguistic weighted average of the fired consequents.
-
-    Consequents whose firing interval is entirely zero drop out; if all of
-    them are zero there is nothing to average and NoRuleFiredError is raised
-    rather than inventing a default word.
+    Consequents whose firing is zero drop out; if all of them are zero there
+    is nothing to average and NoRuleFiredError is raised rather than
+    inventing a default word.
     """
     if len(consequents) != len(firings) or not consequents:
         raise DomainError("lwa needs matching, nonempty consequent and firing lists")
-    if levels < 2:
-        raise DomainError(f"lwa needs >= 2 alpha levels, got {levels}")
-    fl = [f if isinstance(f, FiringLevel) else FiringLevel.scalar(float(f)) for f in firings]
-    fired = [(c, f) for c, f in zip(consequents, fl) if f.hi > 0.0]
+    for f in firings:
+        if not 0.0 <= f <= 1.0:  # also rejects NaN
+            raise DomainError(f"firing level must lie in [0, 1], got {f}")
+    fired = [(c, f) for c, f in zip(consequents, firings) if f > 0.0]
     if not fired:
-        raise NoRuleFiredError("all firing levels are zero")
-    words = [c for c, _ in fired]
-    f_lo = np.array([f.lo for _, f in fired])
-    f_hi = np.array([f.hi for _, f in fired])
+        raise NoRuleFiredError("all firings are zero")
+    weights = np.array([f for _, f in fired], dtype=float)
+    total = weights.sum()
+    h = min(c.lmf.h for c, _ in fired)
 
-    h = min(w.lmf.h for w in words)
-    upper_alphas = np.linspace(0.0, 1.0, levels)
-    lower_alphas = np.linspace(0.0, h, levels)
+    def lmf_cut(t: Trapezoid) -> tuple[float, float, float, float]:
+        frac = h / t.h
+        return (t.a, t.a + frac * (t.b - t.a), t.d - frac * (t.d - t.c), t.d)
 
-    def cut_ends(traps, alphas):
-        lo = np.stack([t.a + (alphas / t.h) * (t.b - t.a) for t in traps])
-        hi = np.stack([t.d - (alphas / t.h) * (t.d - t.c) for t in traps])
-        return lo, hi  # (n, levels)
+    def average(rows, height: float) -> Trapezoid:
+        a, b, c, d = weights @ np.array(rows) / total
+        # clamp against float noise in the averaged vertices
+        b = min(max(b, a), d)
+        c = min(max(c, b), d)
+        return Trapezoid(a, b, c, d, height)
 
-    u_lo, u_hi = cut_ends([w.umf for w in words], upper_alphas)
-    l_lo, l_hi = cut_ends([w.lmf for w in words], lower_alphas)
-
-    if np.array_equal(f_lo, f_hi):
-        # scalar firings: the optimisation collapses to one weighted average
-        total = f_lo.sum()
-        y_ll, y_rr = f_lo @ u_lo / total, f_lo @ u_hi / total
-        y_lr, y_rl = f_lo @ l_lo / total, f_lo @ l_hi / total
-    else:
-        y_ll = np.array([_frac_extreme(u_lo[:, i], f_lo, f_hi, False) for i in range(levels)])
-        y_rr = np.array([_frac_extreme(u_hi[:, i], f_lo, f_hi, True) for i in range(levels)])
-        y_lr = np.array([_frac_extreme(l_lo[:, i], f_lo, f_hi, False) for i in range(levels)])
-        y_rl = np.array([_frac_extreme(l_hi[:, i], f_lo, f_hi, True) for i in range(levels)])
-    return AlphaCurves(upper_alphas, y_ll, y_rr, lower_alphas, y_lr, y_rl, h)
+    umf = average([c.umf.vertices for c, _ in fired], 1.0)
+    lmf = average([lmf_cut(c.lmf) for c, _ in fired], h)
+    return IT2Word("", umf, lmf)
 
 
 # ---------------------------------------------------------------------------
 # Firing and decoding
 
 
-def fire(rule: Rule, inputs: Sequence[str], cb: Codebook, d: Optional[Discretization] = None) -> FiringLevel:
+def fire(rule: Rule, inputs: Sequence[str], cb: Codebook, d: Optional[Discretization] = None) -> float:
     """Minimum t-norm of slotwise Jaccard similarities between input and antecedents."""
     if len(inputs) != len(rule.antecedents):
         raise DomainError(
@@ -267,7 +129,7 @@ def fire(rule: Rule, inputs: Sequence[str], cb: Codebook, d: Optional[Discretiza
         )
     d = d or cb.discretization()
     sims = [jaccard(cb.word(x), cb.word(a), d) for x, a in zip(inputs, rule.antecedents)]
-    return FiringLevel.scalar(min(sims))
+    return min(sims)
 
 
 def decode(
@@ -332,7 +194,6 @@ def synthesize_consequent(
     antecedents: Sequence[Union[str, IT2Word]],
     cb: Codebook,
     d: Optional[Discretization] = None,
-    levels: int = DEFAULT_LEVELS,
 ) -> SynthesizedConsequent:
     """Equal-weight LWA of the antecedent words, decoded to the nearest word.
 
@@ -343,22 +204,20 @@ def synthesize_consequent(
         raise DomainError("synthesize_consequent needs at least one antecedent")
     d = d or cb.discretization()
     words = [cb.word(a) if isinstance(a, str) else a for a in antecedents]
-    curves = lwa(words, [1.0] * len(words), levels=levels)
-    fou = curves.to_word()
+    fou = lwa(words, [1.0] * len(words))
     xs = d.grid()
-    lower, upper = curves.membership_grid(xs)
-    centroid = centroid_ekm_from_samples(xs, lower, upper)
+    centroid = centroid_ekm_from_samples(xs, fou.lmf.membership_grid(xs), fou.umf.membership_grid(xs))
     return SynthesizedConsequent(fou.with_centroid(centroid), centroid, _decode_mean(centroid.mean, cb))
 
 
 def resolve_consequent(rule: Rule, k: int, objective: Objective, cb: Codebook,
-                       d: Optional[Discretization] = None, levels: int = DEFAULT_LEVELS) -> IT2Word:
+                       d: Optional[Discretization] = None) -> IT2Word:
     """Concrete IT2 word for the k-th consequent of a rule."""
     entry = rule.consequents[k]
     if entry in (AUTO, AUTO_WORD):
         slots = objective.slots or tuple(range(1, len(rule.antecedents) + 1))
         names = [rule.antecedents[i - 1] for i in slots]
-        synth = synthesize_consequent(names, cb, d, levels)
+        synth = synthesize_consequent(names, cb, d)
         if entry == AUTO_WORD:
             return cb.word(synth.word)
         return synth.fou
@@ -371,26 +230,22 @@ def resolve_consequent(rule: Rule, k: int, objective: Objective, cb: Codebook,
 
 @dataclass(frozen=True, eq=False)
 class PrOutput:
-    """Inference result for one objective: output FOU, its alpha-level
-    endpoint curves, LMF height, centroid and decoded word."""
+    """Inference result for one objective: output FOU, centroid, decoded
+    word and the firing level of every rule."""
 
     fou: IT2Word
-    curves: AlphaCurves
-    h: float
     centroid: Centroid
     decoded: str
-    firings: tuple[FiringLevel, ...]
+    firings: tuple[float, ...]
 
 
-def _finish(curves: AlphaCurves, firings, cb: Codebook, d: Discretization) -> PrOutput:
+def _finish(fou: IT2Word, firings, cb: Codebook, d: Discretization) -> PrOutput:
     xs = d.grid()
-    lower, upper = curves.membership_grid(xs)
+    lower, upper = fou.lmf.membership_grid(xs), fou.umf.membership_grid(xs)
     centroid = centroid_ekm_from_samples(xs, lower, upper)
     decoded = _decode_sampled(lower, upper, cb, xs)
     return PrOutput(
-        fou=curves.to_word().with_centroid(centroid),
-        curves=curves,
-        h=curves.h,
+        fou=fou.with_centroid(centroid),
         centroid=centroid,
         decoded=decoded,
         firings=tuple(firings),
@@ -402,20 +257,18 @@ def solve_molop(
     inputs: Sequence[str],
     cb: Codebook,
     d: Optional[Discretization] = None,
-    levels: int = DEFAULT_LEVELS,
 ) -> list[PrOutput]:
     """Fire every rule once, then combine per objective with the shared firings."""
     d = d or cb.discretization()
     firings = [fire(r, inputs, cb, d) for r in rb.rules]
-    if all(f.hi == 0.0 for f in firings):
+    if all(f == 0.0 for f in firings):
         raise NoRuleFiredError(
             f"no rule fired for input {list(inputs)}; refusing to emit a default word"
         )
     outputs = []
     for k, objective in enumerate(rb.objectives):
-        consequents = [resolve_consequent(r, k, objective, cb, d, levels) for r in rb.rules]
-        curves = lwa(consequents, firings, levels=levels)
-        outputs.append(_finish(curves, firings, cb, d))
+        consequents = [resolve_consequent(r, k, objective, cb, d) for r in rb.rules]
+        outputs.append(_finish(lwa(consequents, firings), firings, cb, d))
     return outputs
 
 
@@ -424,8 +277,7 @@ def solve_solop(
     inputs: Sequence[str],
     cb: Codebook,
     d: Optional[Discretization] = None,
-    levels: int = DEFAULT_LEVELS,
 ) -> PrOutput:
     if len(rb.objectives) != 1:
         raise DomainError(f"solve_solop needs exactly one objective, got {len(rb.objectives)}")
-    return solve_molop(rb, inputs, cb, d, levels)[0]
+    return solve_molop(rb, inputs, cb, d)[0]

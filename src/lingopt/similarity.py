@@ -199,14 +199,16 @@ def centroid_brute(w: IT2Word, d: Discretization = DEFAULT_GRID) -> Centroid:
 
 
 def rank_by_centroid(
-    items: Sequence[tuple[str, Centroid, Optional[Centroid]]],
+    items: Sequence[tuple[str, float, Optional[float]]],
     direction: str = "max",
     tol: float = 1e-9,
 ) -> list[str]:
-    """Order labels by primary centroid mean, breaking exact ties on the
-    tiebreak centroid.  Remaining ties keep input order.
+    """Order labels by their primary score, breaking exact ties on the
+    tiebreak score.  Remaining ties keep input order.
 
-    ``direction`` is "max" (best = largest mean, the default) or "min".
+    A score is a centroid mean for perceptual reasoning and a beta for the
+    2-tuple baseline.  ``direction`` is "max" (best = largest score, the
+    default) or "min".
     """
     if not items:
         raise DomainError("rank_by_centroid needs at least one item")
@@ -215,12 +217,12 @@ def rank_by_centroid(
     sign = 1.0 if direction == "max" else -1.0
 
     def better(i: int, j: int) -> int:
-        pi, pj = sign * items[i][1].mean, sign * items[j][1].mean
+        pi, pj = sign * items[i][1], sign * items[j][1]
         if abs(pi - pj) > tol:
             return -1 if pi > pj else 1
         ti, tj = items[i][2], items[j][2]
-        if ti is not None and tj is not None and abs(ti.mean - tj.mean) > tol:
-            return -1 if sign * ti.mean > sign * tj.mean else 1
+        if ti is not None and tj is not None and abs(ti - tj) > tol:
+            return -1 if sign * ti > sign * tj else 1
         return -1 if i < j else 1  # stable
 
     order = sorted(range(len(items)), key=functools.cmp_to_key(better))

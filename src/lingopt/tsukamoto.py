@@ -15,11 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fuzzy import DomainError, Interval, LingoptError
-
-
-class NoRuleFiredError(LingoptError):
-    """All rule firings are zero at the evaluation point."""
+from .fuzzy import DomainError, Interval, NoRuleFiredError
 
 
 class MonotoneMf:

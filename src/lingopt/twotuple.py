@@ -9,10 +9,9 @@ term membership functions.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .fuzzy import DomainError, LingoptError
 
@@ -110,7 +109,7 @@ def molop_solve(
         firings.append(alpha)
     total = sum(firings)
     if total == 0:
-        raise DomainError("all firing levels are zero")
+        raise DomainError("all firings are zero")
     out = []
     for k in range(q):
         beta = sum(f * rule[1][k] for f, rule in zip(firings, rules)) / total
@@ -125,30 +124,6 @@ def compare(a: TwoTuple, b: TwoTuple) -> int:
     if a.beta > b.beta:
         return 1
     return 0
-
-
-def rank_two_tuples(
-    items: Sequence[tuple[str, TwoTuple, Optional[TwoTuple]]],
-    direction: str = "max",
-    tol: float = 1e-9,
-) -> list[str]:
-    """Order labels by beta; exact ties fall back to the tiebreak tuple, then
-    to input order."""
-    if not items:
-        raise DomainError("rank_two_tuples needs at least one item")
-    sign = 1.0 if direction == "max" else -1.0
-
-    def better(i: int, j: int) -> int:
-        pi, pj = sign * items[i][1].beta, sign * items[j][1].beta
-        if abs(pi - pj) > tol:
-            return -1 if pi > pj else 1
-        ti, tj = items[i][2], items[j][2]
-        if ti is not None and tj is not None and abs(ti.beta - tj.beta) > tol:
-            return -1 if sign * ti.beta > sign * tj.beta else 1
-        return -1 if i < j else 1
-
-    order = sorted(range(len(items)), key=functools.cmp_to_key(better))
-    return [items[i][0] for i in order]
 
 
 # ---------------------------------------------------------------------------

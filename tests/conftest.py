@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lingopt.codebook import load_codebook
-from lingopt.fuzzy import IT2Word, Trapezoid
+from lingopt.fuzzy import IT2Word, Trapezoid, alpha_cut
 
 
 @pytest.fixture(scope="session")
@@ -34,6 +34,20 @@ def random_word(rng: np.random.Generator, lo=0.0, hi=10.0) -> IT2Word:
     w = IT2Word("w", Trapezoid(a, b, c, d, 1.0), lmf)
     w.validate()
     return w
+
+
+def assert_alpha_cuts_are_weighted_averages(out: IT2Word, words, firings, levels=101, tol=1e-12):
+    """LWA oracle: at each of ``levels`` alpha levels, the output's cut is the
+    firing-weighted average of the fired consequents' cuts; UMF on [0, 1],
+    LMF on [0, h]."""
+    fired = [(w, f) for w, f in zip(words, firings) if f > 0.0]
+    total = sum(f for _, f in fired)
+    for attr, top in (("umf", 1.0), ("lmf", out.lmf.h)):
+        for alpha in np.linspace(0.0, top, levels):
+            cut = alpha_cut(getattr(out, attr), alpha)
+            cuts = [(alpha_cut(getattr(w, attr), alpha), f) for w, f in fired]
+            assert cut.lo == pytest.approx(sum(c.lo * f for c, f in cuts) / total, abs=tol)
+            assert cut.hi == pytest.approx(sum(c.hi * f for c, f in cuts) / total, abs=tol)
 
 
 def assert_report_matches(expected: str, actual: str, num_tol: float = 0.05):

@@ -14,9 +14,9 @@ from lingopt.codebook import load_codebook
 from lingopt.fuzzy import DomainError, Interval, alpha_cut
 from lingopt.problems import case_molop, case_solop, sm_toy, solve_pr_bundle, solve_two_tuple_bundle
 from lingopt.reasoning import Rule, fire, lwa, synthesize_consequent
-from lingopt.similarity import Discretization, centroid_brute, centroid_ekm, jaccard
+from lingopt.similarity import Discretization, centroid_brute, centroid_ekm, jaccard, rank_by_centroid
 from lingopt.tsukamoto import crisp_output, fixture, optimize
-from lingopt.twotuple import OrdinalTermSet, TwoTuple, rank_two_tuples, to_two_tuple
+from lingopt.twotuple import OrdinalTermSet, TwoTuple, to_two_tuple
 
 HMA_TABLE = {
     "VP": ((0.00, 0.00, 2.04, 3.84), (0.00, 0.00, 2.04, 3.04), 1.00, (1.29, 1.52)),
@@ -117,11 +117,11 @@ def test_criterion_04_firing_levels():
         for student, target in zip(STUDENTS, expected):
             own = fire(Rule("mst", MST[student], ()), MST[student], cb)
             cross = fire(Rule("est", EST[student], ()), MST[student], cb)
-            if abs(own.lo - 1.0) > 1e-9:
-                failures.append(f"{fixture_id}/{student}: own-rule firing {own.lo:.4f} != 1")
-            if abs(cross.lo - target) > 0.02:
+            if abs(own - 1.0) > 1e-9:
+                failures.append(f"{fixture_id}/{student}: own-rule firing {own:.4f} != 1")
+            if abs(cross - target) > 0.02:
                 failures.append(
-                    f"{fixture_id}/{student}: cross firing {cross.lo:.4f} vs {target} (tol 0.02)"
+                    f"{fixture_id}/{student}: cross firing {cross:.4f} vs {target} (tol 0.02)"
                 )
     report(4, "firing levels", failures)
 
@@ -162,7 +162,7 @@ def test_criterion_05_molop_outputs():
             # rows whose printed lower-membership height is 0.88: the output
             # height equals the smallest fired-consequent height
             for student, objective_idx in (("SS1", 1), ("SS4", 0), ("SS4", 1)):
-                h = result.outputs[student][objective_idx].h
+                h = result.outputs[student][objective_idx].fou.lmf.h
                 if abs(h - 0.88) > 1e-9:
                     failures.append(f"paper-ia/{student}[{objective_idx}]: height {h} vs 0.88")
     report(5, "multi-objective outputs", failures)
@@ -230,8 +230,8 @@ def test_criterion_08_two_tuple_molop():
         "SS3": (TwoTuple(3, 0.0), TwoTuple(3, 0.33)),
         "SS4": (TwoTuple(3, 0.0), TwoTuple(3, 0.0)),
     }
-    ranking = rank_two_tuples(
-        [(label, row[1], row[0]) for label, row in table.items()]
+    ranking = rank_by_centroid(
+        [(label, row[1].beta, row[0].beta) for label, row in table.items()]
     )
     if ranking != ["SS2", "SS3", "SS4", "SS1"]:
         failures.append(f"fixture-table ranking {ranking}")
@@ -296,7 +296,7 @@ def test_criterion_10_property_suites():
         n = int(rng.integers(1, 5))
         words = [random_word(rng) for _ in range(n)]
         firings = list(rng.uniform(0.05, 1.0, n))
-        same = lwa([words[0]] * n, firings).to_word()
+        same = lwa([words[0]] * n, firings)
         if not (
             np.allclose(same.umf.vertices, words[0].umf.vertices, atol=1e-9)
             and np.allclose(same.lmf.vertices, words[0].lmf.vertices, atol=1e-9)
@@ -304,7 +304,7 @@ def test_criterion_10_property_suites():
             failures.append("lwa idempotence broken")
             break
         mixed = lwa(words, firings)
-        if mixed.y_ll[0] < -1e-9 or mixed.y_rr[0] > 10.0 + 1e-9:
+        if mixed.umf.a < -1e-9 or mixed.umf.d > 10.0 + 1e-9:
             failures.append("lwa output escapes the scale")
             break
 

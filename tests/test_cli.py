@@ -6,6 +6,7 @@ import pytest
 
 from conftest import assert_report_matches
 from lingopt.cli import main
+from lingopt.codebook import format_codebook, load_codebook
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -49,7 +50,7 @@ class TestGoldenReports:
         )
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[7].startswith("SS1,overall,0.46,1.20,5.03,6.71")
+        assert lines[6].startswith("SS1,overall,0.46,1.20,5.03,6.71")
         assert lines[-1] == "ranking,=,SS2,>,SS3,>,SS4,>,SS1"
 
 
@@ -178,6 +179,21 @@ class TestExitCodes:
         )
         assert code == 4
         assert "engine error" in err
+
+    def test_data_error_non_numeric_lmf(self, capsys, tmp_path):
+        text = format_codebook(load_codebook("paper-hma"))
+        lmf = next(line for line in text.splitlines() if line.startswith("lmf = "))
+        path = tmp_path / "bad.txt"
+        path.write_text(text.replace(lmf, "lmf = 0 1 2 zz", 1))
+        code, _, err = run_cli(capsys, "solve", "pr", "--problem", "case-solop", "--codebook", str(path))
+        assert code == 3
+        assert err.startswith("lingopt: data error:")
+        assert err.count("\n") == 1
+
+    def test_levels_flag_is_gone(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "pr", "--problem", "case-solop", "--levels", "5"])
+        assert exc.value.code == 2
 
     def test_argparse_usage_exit(self):
         with pytest.raises(SystemExit) as exc:

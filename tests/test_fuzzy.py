@@ -9,7 +9,6 @@ from lingopt.fuzzy import (
     Trapezoid,
     alpha_cut,
     classify_fou,
-    membership_envelope,
 )
 
 SCALE = Interval(0.0, 10.0)
@@ -95,15 +94,15 @@ class TestClassifyFou:
 
 class TestMembershipEnvelope:
     def test_outside_support_is_zero(self, hma):
-        env = membership_envelope(hma.word("VP"), 9.5)
+        env = hma.word("VP").membership(9.5)
         assert (env.lo, env.hi) == (0.0, 0.0)
 
     def test_plateau_lookup(self, hma):
-        env = membership_envelope(hma.word("A"), 5.0)
+        env = hma.word("A").membership(5.0)
         assert (env.lo, env.hi) == (1.0, 1.0)
 
     def test_lmf_plateau_height(self, ia):
-        env = membership_envelope(ia.word("A"), 4.99)
+        env = ia.word("A").membership(4.99)
         assert env.lo == pytest.approx(0.88)
         assert env.hi == 1.0
 

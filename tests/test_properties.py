@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_trapezoid, random_word
+from conftest import assert_alpha_cuts_are_weighted_averages, random_trapezoid, random_word
 from lingopt.codebook import load_codebook
 from lingopt.fuzzy import Interval, Trapezoid, alpha_cut, classify_fou, FouShape
 from lingopt.reasoning import lwa
@@ -115,22 +115,21 @@ class TestLwaProperties:
         for _ in range(500):
             words, firings = self._random_instance(rng)
             # idempotence: all-equal consequents reproduce the word
-            out = lwa([words[0]] * len(firings), list(firings)).to_word()
+            out = lwa([words[0]] * len(firings), list(firings))
             np.testing.assert_allclose(out.umf.vertices, words[0].umf.vertices, atol=1e-9)
             np.testing.assert_allclose(out.lmf.vertices, words[0].lmf.vertices, atol=1e-9)
             # scale containment for the mixed average
             mixed = lwa(words, list(firings))
-            assert mixed.y_ll[0] >= 0.0 - 1e-9
-            assert mixed.y_rr[0] <= 10.0 + 1e-9
+            assert mixed.umf.a >= 0.0 - 1e-9
+            assert mixed.umf.d <= 10.0 + 1e-9
 
     def test_betweenness_of_output_centroid(self):
         rng = np.random.default_rng(3)
         xs = GRID.grid()
         for _ in range(60):
             words, firings = self._random_instance(rng)
-            curves = lwa(words, list(firings))
-            lower, upper = curves.membership_grid(xs)
-            mean = centroid_ekm_from_samples(xs, lower, upper).mean
+            out = lwa(words, list(firings))
+            mean = centroid_ekm_from_samples(xs, out.lmf.membership_grid(xs), out.umf.membership_grid(xs)).mean
             means = [centroid_ekm(w, GRID).mean for w in words]
             assert min(means) - 0.02 <= mean <= max(means) + 0.02
 
@@ -138,8 +137,8 @@ class TestLwaProperties:
         rng = np.random.default_rng(4)
         for _ in range(200):
             words, firings = self._random_instance(rng)
-            curves = lwa(words, list(firings))
-            assert curves.h == pytest.approx(min(w.lmf.h for w in words))
+            out = lwa(words, list(firings))
+            assert out.lmf.h == pytest.approx(min(w.lmf.h for w in words))
 
     def test_shoulder_propagation(self, hma):
         # all fired consequents left shoulders -> output is a left shoulder
@@ -147,10 +146,9 @@ class TestLwaProperties:
         shoulders = [hma.word("VP"), hma.word("P")]
         for _ in range(50):
             firings = rng.uniform(0.05, 1.0, 2)
-            curves = lwa(shoulders, list(firings))
-            assert np.all(curves.y_ll == 0.0)
-            assert np.all(curves.y_lr == 0.0)
-            out = curves.to_word()
+            out = lwa(shoulders, list(firings))
+            assert all(alpha_cut(out.umf, a).lo == 0.0 for a in np.linspace(0.0, 1.0, 101))
+            assert all(alpha_cut(out.lmf, a).lo == 0.0 for a in np.linspace(0.0, out.lmf.h, 101))
             assert classify_fou(out, hma.scale) is FouShape.LEFT_SHOULDER
 
     def test_firing_weight_monotonicity(self, hma):
@@ -166,9 +164,8 @@ class TestLwaProperties:
             top = int(np.argmax(means))
 
             def mean_with(fs):
-                curves = lwa(chosen, list(fs))
-                lower, upper = curves.membership_grid(xs)
-                return centroid_ekm_from_samples(xs, lower, upper).mean
+                out = lwa(chosen, list(fs))
+                return centroid_ekm_from_samples(xs, out.lmf.membership_grid(xs), out.umf.membership_grid(xs)).mean
 
             bumped = firings.copy()
             bumped[top] = min(1.0, bumped[top] + 0.1)
@@ -178,11 +175,7 @@ class TestLwaProperties:
         rng = np.random.default_rng(7)
         for _ in range(100):
             words, firings = self._random_instance(rng)
-            curves = lwa(words, list(firings))
-            total = firings.sum()
-            for i, alpha in enumerate(curves.upper_alphas):
-                direct = sum(alpha_cut(w.umf, alpha).lo * f for w, f in zip(words, firings))
-                assert curves.y_ll[i] == pytest.approx(direct / total, abs=1e-12)
+            assert_alpha_cuts_are_weighted_averages(lwa(words, list(firings)), words, firings)
 
 
 class TestCentroidOracle:

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from lingopt.fuzzy import DomainError, alpha_cut
+from conftest import assert_alpha_cuts_are_weighted_averages
+from lingopt.fuzzy import DomainError
 from lingopt.reasoning import (
     AUTO,
-    FiringLevel,
     NoRuleFiredError,
     Objective,
     Rule,
@@ -26,18 +26,18 @@ class TestFire:
     def test_input_matching_own_rule_fires_at_one(self, hma):
         rule = Rule("mst", SS1_MOLOP_INPUT, ("P", "A"))
         level = fire(rule, SS1_MOLOP_INPUT, hma)
-        assert level.lo == pytest.approx(1.0)
-        assert level.is_scalar
+        assert level == pytest.approx(1.0)
+        assert isinstance(level, float)
 
     def test_cross_firing_hma(self, hma):
         rule = Rule("est", SS1_EST_ANTECEDENTS, ("P", "A"))
         level = fire(rule, SS1_MOLOP_INPUT, hma)
-        assert level.lo == pytest.approx(0.08, abs=0.02)
+        assert level == pytest.approx(0.08, abs=0.02)
 
     def test_cross_firing_ia(self, ia):
         rule = Rule("est", SS1_EST_ANTECEDENTS, ("P", "A"))
         level = fire(rule, SS1_MOLOP_INPUT, ia)
-        assert level.lo == pytest.approx(0.06, abs=0.02)
+        assert level == pytest.approx(0.06, abs=0.02)
 
     def test_unknown_word_rejected(self, hma):
         rule = Rule("r", ("VP", "P"), ("A",))
@@ -53,64 +53,52 @@ class TestFire:
 class TestLwa:
     def test_identical_consequents_reproduce_word(self, hma):
         g = hma.word("G")
-        out = lwa([g, g], [1.0, 0.10]).to_word()
+        out = lwa([g, g], [1.0, 0.10])
         np.testing.assert_allclose(out.umf.vertices, g.umf.vertices, atol=1e-9)
         np.testing.assert_allclose(out.lmf.vertices, g.lmf.vertices, atol=1e-9)
         assert out.lmf.h == g.lmf.h
 
     def test_single_rule_firing_one_is_identity(self, hma):
         a = hma.word("A")
-        out = lwa([a], [1.0]).to_word()
+        out = lwa([a], [1.0])
         np.testing.assert_allclose(out.umf.vertices, a.umf.vertices, atol=1e-12)
         np.testing.assert_allclose(out.lmf.vertices, a.lmf.vertices, atol=1e-12)
 
     def test_elective_mix_centroid(self, hma):
         # combining A (weight 1) and P (weight .38): printed mean 4.35
-        curves = lwa([hma.word("A"), hma.word("P")], [1.0, 0.38])
+        out = lwa([hma.word("A"), hma.word("P")], [1.0, 0.38])
         xs = hma.discretization().grid()
-        lower, upper = curves.membership_grid(xs)
-        c = centroid_ekm_from_samples(xs, lower, upper)
+        c = centroid_ekm_from_samples(xs, out.lmf.membership_grid(xs), out.umf.membership_grid(xs))
         assert c.mean == pytest.approx(4.35, abs=0.05)
 
     def test_zero_firings_rejected(self, hma):
         with pytest.raises(NoRuleFiredError):
             lwa([hma.word("A")], [0.0])
 
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, float("nan")])
+    def test_firing_outside_unit_interval_rejected(self, hma, bad):
+        with pytest.raises(DomainError):
+            lwa([hma.word("A"), hma.word("G")], [1.0, bad])
+
     def test_zero_weight_consequent_drops_out(self, hma):
         a, g = hma.word("A"), hma.word("G")
-        with_zero = lwa([a, g], [1.0, 0.0]).to_word()
+        with_zero = lwa([a, g], [1.0, 0.0])
         np.testing.assert_allclose(with_zero.umf.vertices, a.umf.vertices, atol=1e-12)
 
-    def test_scalar_firing_matches_direct_weighted_average(self, hma):
-        # degenerate intervals: the switch search must equal the plain average
-        words = [hma.word("P"), hma.word("A"), hma.word("G")]
-        firings = [0.9, 0.4, 0.25]
-        curves = lwa(words, firings)
-        total = sum(firings)
-        for alphas, curve, attr, side in (
-            (curves.upper_alphas, curves.y_ll, "umf", "lo"),
-            (curves.upper_alphas, curves.y_rr, "umf", "hi"),
-            (curves.lower_alphas, curves.y_lr, "lmf", "lo"),
-            (curves.lower_alphas, curves.y_rl, "lmf", "hi"),
-        ):
-            for alpha, got in zip(alphas, curve):
-                cuts = [alpha_cut(getattr(w, attr), alpha) for w in words]
-                want = sum(getattr(c, side) * f for c, f in zip(cuts, firings)) / total
-                assert got == pytest.approx(want, abs=1e-12)
-
-    def test_interval_firings_widen_the_envelope(self, hma):
-        words = [hma.word("P"), hma.word("G")]
-        scalar = lwa(words, [FiringLevel.scalar(0.6), FiringLevel.scalar(0.6)])
-        boxed = lwa(words, [FiringLevel(0.2, 1.0), FiringLevel(0.2, 1.0)])
-        assert np.all(boxed.y_ll <= scalar.y_ll + 1e-12)
-        assert np.all(boxed.y_rr >= scalar.y_rr - 1e-12)
+    def test_scalar_firing_matches_direct_weighted_average(self, hma, ia):
+        # every alpha-cut of the output trapezoid is the firing-weighted
+        # average of the consequents' alpha-cuts at that level
+        for cb in (hma, ia):
+            words = [cb.word("P"), cb.word("A"), cb.word("G")]
+            firings = [0.9, 0.4, 0.25]
+            assert_alpha_cuts_are_weighted_averages(lwa(words, firings), words, firings)
 
     def test_output_height_is_min_of_fired(self, ia):
-        curves = lwa([ia.word("A"), ia.word("G")], [1.0, 0.24])
-        assert curves.h == pytest.approx(0.88)
+        out = lwa([ia.word("A"), ia.word("G")], [1.0, 0.24])
+        assert out.lmf.h == pytest.approx(0.88)
         # a zero-firing low consequent must not drag the height down
-        curves = lwa([ia.word("G"), ia.word("A")], [1.0, 0.0])
-        assert curves.h == 1.0
+        out = lwa([ia.word("G"), ia.word("A")], [1.0, 0.0])
+        assert out.lmf.h == 1.0
 
 
 class TestSynthesize:
@@ -174,7 +162,7 @@ class TestSolve:
         out = solve_solop(rb, core, hma)
         assert out.centroid.mean == pytest.approx(3.33, abs=0.05)
         assert out.decoded == "P"
-        assert out.firings[0].lo == pytest.approx(1.0)
+        assert out.firings[0] == pytest.approx(1.0)
 
     def test_solop_requires_single_objective(self, hma):
         rb = RuleBase(
@@ -195,7 +183,7 @@ class TestSolve:
         )
         out = solve_solop(rb, ("VG", "VG"), hma)
         vg = hma.word("VG")
-        assert out.firings[0].hi == 0.0
+        assert out.firings[0] == 0.0
         np.testing.assert_allclose(out.fou.umf.vertices, vg.umf.vertices, atol=1e-9)
         assert out.decoded == "VG"
 
@@ -240,52 +228,6 @@ class TestSolve:
         np.testing.assert_allclose(f2.fou.umf.vertices, hma.word("G").umf.vertices, atol=1e-9)
 
 
-class TestIntervalFiringMachinery:
-    def test_frac_extreme_matches_box_corner_enumeration(self):
-        # the optimum of sum(a*f)/sum(f) over a box sits at a corner; the
-        # switch search must agree with trying every corner outright
-        from itertools import product
-
-        from lingopt.reasoning import _frac_extreme
-
-        rng = np.random.default_rng(21)
-        for _ in range(300):
-            n = int(rng.integers(1, 6))
-            values = rng.uniform(0.0, 10.0, n)
-            f_lo = rng.uniform(0.0, 1.0, n)
-            f_hi = f_lo + rng.uniform(0.0, 1.0 - f_lo)
-            corners = []
-            for choice in product(*(((lo, hi) if lo != hi else (lo,)) for lo, hi in zip(f_lo, f_hi))):
-                w = np.array(choice)
-                if w.sum() > 0:
-                    corners.append(float(values @ w / w.sum()))
-            if not corners:
-                continue
-            assert _frac_extreme(values, f_lo, f_hi, maximize=False) == pytest.approx(
-                min(corners), abs=1e-9
-            )
-            assert _frac_extreme(values, f_lo, f_hi, maximize=True) == pytest.approx(
-                max(corners), abs=1e-9
-            )
-
-    def test_interval_output_curves_stay_ordered(self, hma):
-        rng = np.random.default_rng(22)
-        words = [hma.word(n) for n in ("P", "A", "G")]
-        for _ in range(50):
-            lo = rng.uniform(0.0, 0.8, 3)
-            firings = [FiringLevel(l, min(1.0, l + rng.uniform(0, 0.2))) for l in lo]
-            if all(f.hi == 0 for f in firings):
-                continue
-            curves = lwa(words, firings)
-            # left curves below right curves, lower envelope inside upper
-            assert np.all(curves.y_ll <= curves.y_rr + 1e-9)
-            assert np.all(curves.y_lr <= curves.y_rl + 1e-9)
-            upper_left = np.interp(curves.lower_alphas, curves.upper_alphas, curves.y_ll)
-            assert np.all(upper_left <= curves.y_lr + 1e-9)
-            upper_right = np.interp(curves.lower_alphas, curves.upper_alphas, curves.y_rr)
-            assert np.all(curves.y_rl <= upper_right + 1e-9)
-
-
 class TestConsequentSearch:
     def test_ss3_consequent_words_are_unique_reconstruction(self, hma):
         """Exhaustive search over word pairs: only (A, G) core and (A, P)
@@ -294,9 +236,8 @@ class TestConsequentSearch:
         xs = hma.discretization().grid()
 
         def centroid_of(pair):
-            curves = lwa([hma.word(pair[0]), hma.word(pair[1])], firings)
-            lower, upper = curves.membership_grid(xs)
-            return centroid_ekm_from_samples(xs, lower, upper)
+            out = lwa([hma.word(pair[0]), hma.word(pair[1])], firings)
+            return centroid_ekm_from_samples(xs, out.lmf.membership_grid(xs), out.umf.membership_grid(xs))
 
         def hits(cl, cr, mean):
             out = []

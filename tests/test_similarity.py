@@ -108,34 +108,38 @@ class TestCentroid:
 class TestRanking:
     def test_solop_means(self):
         items = [
-            ("SS1", Centroid(3.33, 3.33), None),
-            ("SS2", Centroid(6.2, 6.2), None),
-            ("SS3", Centroid(5.91, 5.91), None),
-            ("SS4", Centroid(5.45, 5.45), None),
+            ("SS1", 3.33, None),
+            ("SS2", 6.2, None),
+            ("SS3", 5.91, None),
+            ("SS4", 5.45, None),
         ]
         assert rank_by_centroid(items) == ["SS2", "SS3", "SS4", "SS1"]
 
     def test_tiebreak_on_secondary(self):
         items = [
-            ("SS1", Centroid(5.02, 5.02), Centroid(2.6, 2.6)),
-            ("SS2", Centroid(7.42, 7.42), None),
-            ("SS3", Centroid(4.35, 4.35), None),
-            ("SS4", Centroid(5.02, 5.02), Centroid(5.02, 5.02)),
+            ("SS1", 5.02, 2.6),
+            ("SS2", 7.42, None),
+            ("SS3", 4.35, None),
+            ("SS4", 5.02, 5.02),
         ]
         assert rank_by_centroid(items) == ["SS2", "SS4", "SS1", "SS3"]
 
     def test_single_item(self):
-        assert rank_by_centroid([("only", Centroid(1, 1), None)]) == ["only"]
+        assert rank_by_centroid([("only", 1.0, None)]) == ["only"]
 
     def test_stable_when_fully_tied(self):
-        c = Centroid(4.0, 4.0)
-        items = [("a", c, None), ("b", c, None), ("c", c, None)]
+        items = [("a", 4.0, None), ("b", 4.0, None), ("c", 4.0, None)]
         assert rank_by_centroid(items) == ["a", "b", "c"]
 
     def test_min_direction(self):
-        items = [("lo", Centroid(1, 1), None), ("hi", Centroid(9, 9), None)]
+        items = [("lo", 1.0, None), ("hi", 9.0, None)]
         assert rank_by_centroid(items, direction="min") == ["lo", "hi"]
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             rank_by_centroid([])
+
+    @pytest.mark.parametrize("direction", ["MAX", "descending", ""])
+    def test_bad_direction_rejected(self, direction):
+        with pytest.raises(DomainError, match="direction"):
+            rank_by_centroid([("a", 1.0, None), ("b", 2.0, None)], direction=direction)

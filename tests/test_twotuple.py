@@ -1,6 +1,7 @@
 import pytest
 
 from lingopt.fuzzy import DomainError
+from lingopt.similarity import rank_by_centroid
 from lingopt.twotuple import (
     OrdinalTermSet,
     OutOfScaleError,
@@ -8,7 +9,6 @@ from lingopt.twotuple import (
     compare,
     molop_solve,
     overflow_check,
-    rank_two_tuples,
     solop_aggregate,
     to_two_tuple,
 )
@@ -117,7 +117,7 @@ class TestCompare:
             "SS3": to_two_tuple(3.4, FIVE),
             "SS4": to_two_tuple(3.2, FIVE),
         }
-        ranked = rank_two_tuples([(k, v, None) for k, v in tuples.items()])
+        ranked = rank_by_centroid([(k, v.beta, None) for k, v in tuples.items()])
         assert ranked == ["SS2", "SS3", "SS4", "SS1"]
 
     def test_equal_betas_compare_equal(self):
@@ -135,8 +135,8 @@ class TestCompare:
             "SS3": (TwoTuple(3, 0.0), TwoTuple(3, 0.33)),
             "SS4": (TwoTuple(3, 0.0), TwoTuple(3, 0.0)),
         }
-        items = [(label, elective, core) for label, (core, elective) in table.items()]
-        assert rank_two_tuples(items) == ["SS2", "SS3", "SS4", "SS1"]
+        items = [(label, elective.beta, core.beta) for label, (core, elective) in table.items()]
+        assert rank_by_centroid(items) == ["SS2", "SS3", "SS4", "SS1"]
 
 
 class TestOverflow:
