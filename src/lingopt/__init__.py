@@ -28,6 +28,7 @@ from .codebook import (
     DataIntervalSet,
     EncoderError,
     EndpointSpec,
+    SampledCodebook,
     encode_word,
     load_codebook,
     register_encoder,
@@ -41,6 +42,7 @@ from .reasoning import (
     RuleBase,
     decode,
     fire,
+    fire_rules,
     lwa,
     solve_molop,
     solve_solop,

@@ -39,6 +39,11 @@ from .similarity import DegenerateWordError, Discretization
 from .twotuple import OutOfScaleError, overflow_check
 
 USAGE_ERROR, DATA_ERROR, ENGINE_ERROR = 2, 3, 4
+MAX_GRID = 1_000_001  # largest --grid accepted; the accuracy reference grid has 100001 points
+
+
+class UsageError(LingoptError):
+    """A flag value is out of its accepted range."""
 
 
 class _Row:
@@ -153,6 +158,8 @@ def _solve_tsukamoto(args) -> str:
 
 
 def _cmd_solve(args) -> int:
+    if not 3 <= args.grid <= MAX_GRID:
+        raise UsageError(f"--grid must be between 3 and {MAX_GRID} points, got {args.grid}")
     if args.engine == "tsukamoto":
         if args.problem not in ("sm-solop", "sm-molop"):
             raise EngineMismatchError(
@@ -190,11 +197,7 @@ def _cmd_export_fou(args) -> int:
             verts = [(trap.a, 0.0), (trap.b, trap.h), (trap.c, trap.h), (trap.d, 0.0)]
             flat = ",".join(f"{x:.4f},{mu:.4f}" for x, mu in verts)
             lines.append(f"{name},{curve},{flat}")
-    text = "\n".join(lines) + "\n"
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        Path(args.out).write_text(text)
+    _write_out(args.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -209,12 +212,16 @@ def _cmd_sample(args) -> int:
     sets = [
         sample_person_fou(spec, n=args.n, seed=args.seed + i) for i, spec in enumerate(specs)
     ]
-    text = format_data_intervals(sets, seed=args.seed)
-    if args.out == "-":
+    _write_out(args.out, format_data_intervals(sets, seed=args.seed))
+    return 0
+
+
+def _write_out(out: str, text: str) -> None:
+    """Write to the --out path, or to stdout for "-"; an OSError is a data error."""
+    if out == "-":
         sys.stdout.write(text)
     else:
-        Path(args.out).write_text(text)
-    return 0
+        Path(out).write_text(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -255,13 +262,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except EngineMismatchError as e:
+    except (EngineMismatchError, UsageError, tsk.GridStepError) as e:
         print(f"lingopt: usage error: {e}", file=sys.stderr)
         return USAGE_ERROR
     except (NoRuleFiredError, DegenerateWordError, OutOfScaleError) as e:
         print(f"lingopt: engine error: {e}", file=sys.stderr)
         return ENGINE_ERROR
-    except (ProblemError, CodebookError, EndpointSpecError) as e:
+    except (ProblemError, CodebookError, EndpointSpecError, OSError) as e:
         print(f"lingopt: data error: {e}", file=sys.stderr)
         return DATA_ERROR
     except (DomainError, LingoptError) as e:

@@ -34,7 +34,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .fuzzy import DomainError, Interval, IT2Word, LingoptError, Trapezoid
-from .similarity import Centroid, Discretization, centroid_ekm
+from .similarity import Centroid, Discretization, SampledWord, centroid_ekm, sample_word
 
 GENERATOR_NAME = "pcg64"  # numpy default_rng
 CENTROID_CACHE_TOL = 0.05  # fixture centroids are printed to 2 decimals
@@ -104,17 +104,44 @@ class Codebook:
         for w in self.words:
             if w.name == name:
                 return w
-        raise CodebookError(f"unknown word {name!r}; codebook has {list(self.names)}")
+        raise self._unknown(name)
 
     def index(self, name: str) -> int:
         """1-based position of the word in the vocabulary order."""
         for i, w in enumerate(self.words):
             if w.name == name:
                 return i + 1
-        raise CodebookError(f"unknown word {name!r}; codebook has {list(self.names)}")
+        raise self._unknown(name)
+
+    def _unknown(self, name: str) -> CodebookError:
+        return CodebookError(f"unknown word {name!r}; codebook has {list(self.names)}")
 
     def discretization(self, points: int = 1001) -> Discretization:
         return Discretization(points=points, scale=self.scale)
+
+    def sampled(self, d: Optional[Discretization] = None) -> "SampledCodebook":
+        """The words sampled once on ``d`` (default: this codebook's grid)."""
+        return SampledCodebook(self, d or self.discretization())
+
+
+class SampledCodebook:
+    """A codebook's words sampled once on one grid, to be shared by a solve.
+
+    Each word is stored as a ``SampledWord``: its memberships on the grid
+    points of its support only.  Building it runs the on-scale check of
+    ``jaccard`` on every word, so a grid that does not cover the codebook
+    raises ``DomainError`` here.
+    """
+
+    def __init__(self, cb: Codebook, d: Discretization):
+        self.codebook, self.d = cb, d
+        self.words = {w.name: sample_word(w, d) for w in cb.words}  # vocabulary order
+
+    def __getitem__(self, name: str) -> SampledWord:
+        try:
+            return self.words[name]
+        except KeyError:
+            raise self.codebook._unknown(name) from None
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +395,10 @@ def parse_codebook(text: str) -> Codebook:
             elif key == "generator":
                 generator = value
             elif key == "seed":
-                seed = int(value)
+                try:
+                    seed = int(value)
+                except ValueError:
+                    raise CodebookError(f"seed must be an integer, got {value!r}") from None
             else:
                 raise CodebookError(f"unknown header key {key!r}")
     flush()

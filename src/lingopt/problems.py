@@ -73,11 +73,17 @@ class ProblemBundle:
             raise ProblemError("bundle needs at least one alternative")
         for alt in self.alternatives:
             RuleBase(alt.rules, self.objectives)  # dimension checks
-            if alt.input is not None and alt.rules:
-                if len(alt.input) != len(alt.rules[0].antecedents):
+            n = len(alt.rules[0].antecedents)
+            for o in self.objectives:
+                if o.slots and max(o.slots) > n:
                     raise ProblemError(
-                        f"alternative {alt.label!r}: input length does not match antecedents"
+                        f"objective {o.name!r}: slot {max(o.slots)} is past the "
+                        f"{n} antecedents of alternative {alt.label!r}"
                     )
+            if alt.input is not None and len(alt.input) != n:
+                raise ProblemError(
+                    f"alternative {alt.label!r}: input length does not match antecedents"
+                )
 
     def objective(self, name: str) -> Objective:
         for o in self.objectives:
@@ -119,6 +125,7 @@ def solve_pr_bundle(
     cb: Codebook,
     d: Optional[Discretization] = None,
 ) -> PrBundleResult:
+    scb = cb.sampled(d)  # every alternative shares one sampling of the codebook
     outputs: dict[str, list[PrOutput]] = {}
     for alt in bundle.alternatives:
         if alt.input is None:
@@ -126,7 +133,7 @@ def solve_pr_bundle(
                 f"alternative {alt.label!r} has no input vector to fire the rules with"
             )
         rb = RuleBase(alt.rules, bundle.objectives)
-        outputs[alt.label] = solve_molop(rb, alt.input, cb, d)
+        outputs[alt.label] = solve_molop(rb, alt.input, scb)
     means = {label: [o.centroid.mean for o in outs] for label, outs in outputs.items()}
     return PrBundleResult(outputs, _rank(bundle, means))
 
@@ -295,13 +302,16 @@ def load_problem(source: Union[str, Path]) -> ProblemBundle:
 
 def _parse_slots(spec: str) -> tuple[int, ...]:
     slots: list[int] = []
-    for part in spec.split(","):
-        part = part.strip()
-        if "-" in part:
-            lo, hi = part.split("-", 1)
-            slots.extend(range(int(lo), int(hi) + 1))
-        else:
-            slots.append(int(part))
+    try:
+        for part in spec.split(","):
+            part = part.strip()
+            if "-" in part:
+                lo, hi = part.split("-", 1)
+                slots.extend(range(int(lo), int(hi) + 1))
+            else:
+                slots.append(int(part))
+    except ValueError:
+        raise ProblemError(f"bad slot spec {spec!r}") from None
     if not slots or any(s < 1 for s in slots):
         raise ProblemError(f"bad slot spec {spec!r}")
     return tuple(slots)

@@ -1,14 +1,22 @@
 """Perceptual reasoning: rule firing, linguistic weighted average, decoding.
 
-Inference runs in three steps.  ``fire`` scores an input word vector against
-a rule's antecedents: the minimum t-norm of pairwise Jaccard similarities,
-a crisp number in [0, 1].  ``lwa`` combines the fired consequent words
-through the linguistic weighted average.  With crisp firings and trapezoidal
-FOUs the average is itself a trapezoid, computed exactly from the vertices:
-the UMF is the firing-weighted average of the consequent UMFs, and the LMF
-the weighted average of the consequent LMFs cut at h, the smallest
-fired-consequent LMF height.  ``decode`` maps the output FOU back to a
-codebook word.
+Inference runs in three steps.  ``fire_rules`` scores an input word vector
+against each rule's antecedents: the minimum t-norm of pairwise Jaccard
+similarities, a crisp number in [0, 1].  ``lwa`` combines the fired
+consequent words through the linguistic weighted average.  With crisp
+firings and trapezoidal FOUs the average is itself a trapezoid, computed
+exactly from the vertices: the UMF is the firing-weighted average of the
+consequent UMFs, and the LMF the weighted average of the consequent LMFs cut
+at h, the smallest fired-consequent LMF height.  ``decode`` maps the output
+FOU back to a codebook word.
+
+Inputs, antecedents and decoded words all come from one codebook, so a solve
+samples it once: a ``SampledCodebook`` holds each word's memberships on the
+grid points of its support only.  Firing looks each distinct (input,
+antecedent) pair up in a per-alternative table of Jaccard similarities, and
+only the output FOUs and ``auto`` consequents are sampled afresh, each on
+its own support.  ``fire`` and ``decode`` run the same code on a codebook
+sampled for the one call.
 """
 
 from __future__ import annotations
@@ -18,14 +26,15 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .codebook import Codebook
+from .codebook import Codebook, SampledCodebook
 from .fuzzy import DomainError, IT2Word, NoRuleFiredError, Trapezoid
 from .similarity import (
     Centroid,
     Discretization,
+    SampledWord,
     centroid_ekm_from_samples,
-    jaccard,
     jaccard_sampled,
+    sample_word,
 )
 
 AUTO = "auto"  # consequent synthesised from antecedents, kept as a raw FOU
@@ -121,15 +130,30 @@ def lwa(consequents: Sequence[IT2Word], firings: Sequence[float]) -> IT2Word:
 # Firing and decoding
 
 
+def fire_rules(rules: Sequence[Rule], inputs: Sequence[str], scb: SampledCodebook) -> list[float]:
+    """Firing level of each rule: the minimum over its slots of the Jaccard
+    similarity between input and antecedent word.
+
+    The similarities form a table over the (input, antecedent) word pairs
+    that occur; each pair is compared once, however many slots share it.
+    """
+    table: dict[tuple[str, str], float] = {}
+    firings = []
+    for rule in rules:
+        if len(inputs) != len(rule.antecedents):
+            raise DomainError(
+                f"rule {rule.label!r} expects {len(rule.antecedents)} inputs, got {len(inputs)}"
+            )
+        for pair in zip(inputs, rule.antecedents):
+            if pair not in table:
+                table[pair] = jaccard_sampled(scb[pair[0]], scb[pair[1]])
+        firings.append(min(table[pair] for pair in zip(inputs, rule.antecedents)))
+    return firings
+
+
 def fire(rule: Rule, inputs: Sequence[str], cb: Codebook, d: Optional[Discretization] = None) -> float:
     """Minimum t-norm of slotwise Jaccard similarities between input and antecedents."""
-    if len(inputs) != len(rule.antecedents):
-        raise DomainError(
-            f"rule {rule.label!r} expects {len(rule.antecedents)} inputs, got {len(inputs)}"
-        )
-    d = d or cb.discretization()
-    sims = [jaccard(cb.word(x), cb.word(a), d) for x, a in zip(inputs, rule.antecedents)]
-    return min(sims)
+    return fire_rules([rule], inputs, cb.sampled(d))[0]
 
 
 def decode(
@@ -144,39 +168,36 @@ def decode(
     the nearest centroid mean.  Exact ties go to the later (larger-centroid)
     vocabulary word in both modes.
     """
-    d = d or cb.discretization()
-    xs = d.grid()
     if method == "jaccard":
-        lower, upper = fou.lmf.membership_grid(xs), fou.umf.membership_grid(xs)
-        return _decode_sampled(lower, upper, cb, xs)
+        scb = cb.sampled(d)
+        return _decode_jaccard(sample_word(fou, scb.d), scb)
     if method == "centroid":
-        mean = centroid_ekm_from_samples(
-            xs, fou.lmf.membership_grid(xs), fou.umf.membership_grid(xs)
-        ).mean
-        return _decode_mean(mean, cb)
+        return _decode_mean(_centroid(sample_word(fou, d or cb.discretization())).mean, cb)
     raise DomainError(f"unknown decode method {method!r}")
 
 
-def _decode_sampled(lower: np.ndarray, upper: np.ndarray, cb: Codebook, xs: np.ndarray) -> str:
-    best, best_sim = None, -np.inf
-    for w in cb.words:
-        sim = jaccard_sampled(lower, upper, w.lmf.membership_grid(xs), w.umf.membership_grid(xs))
-        if best is None or sim > best_sim + 1e-12:
-            best, best_sim = w.name, sim
-        elif sim >= best_sim - 1e-12:
-            best = w.name  # tie: the larger-centroid word wins
+def _best(names: Sequence[str], scores: Sequence[float]) -> str:
+    """Name with the highest score.  Scores within 1e-12 of the best so far
+    tie, and a tie goes to the later (larger-centroid) word."""
+    best, best_score = None, -np.inf
+    for name, score in zip(names, scores):
+        if best is None or score > best_score + 1e-12:
+            best, best_score = name, score
+        elif score >= best_score - 1e-12:
+            best = name
     return best
+
+
+def _decode_jaccard(s: SampledWord, scb: SampledCodebook) -> str:
+    return _best(list(scb.words), [jaccard_sampled(s, w) for w in scb.words.values()])
 
 
 def _decode_mean(mean: float, cb: Codebook) -> str:
-    best, best_dist = None, np.inf
-    for w in cb.words:
-        dist = abs(w.centroid.mean - mean)
-        if best is None or dist < best_dist - 1e-12:
-            best, best_dist = w.name, dist
-        elif dist <= best_dist + 1e-12:
-            best = w.name  # tie: the larger-centroid word wins
-    return best
+    return _best(cb.names, [-abs(w.centroid.mean - mean) for w in cb.words])
+
+
+def _centroid(s: SampledWord) -> Centroid:
+    return centroid_ekm_from_samples(s.xs, s.lower, s.upper)
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +226,7 @@ def synthesize_consequent(
     d = d or cb.discretization()
     words = [cb.word(a) if isinstance(a, str) else a for a in antecedents]
     fou = lwa(words, [1.0] * len(words))
-    xs = d.grid()
-    centroid = centroid_ekm_from_samples(xs, fou.lmf.membership_grid(xs), fou.umf.membership_grid(xs))
+    centroid = _centroid(sample_word(fou, d))
     return SynthesizedConsequent(fou.with_centroid(centroid), centroid, _decode_mean(centroid.mean, cb))
 
 
@@ -239,45 +259,32 @@ class PrOutput:
     firings: tuple[float, ...]
 
 
-def _finish(fou: IT2Word, firings, cb: Codebook, d: Discretization) -> PrOutput:
-    xs = d.grid()
-    lower, upper = fou.lmf.membership_grid(xs), fou.umf.membership_grid(xs)
-    centroid = centroid_ekm_from_samples(xs, lower, upper)
-    decoded = _decode_sampled(lower, upper, cb, xs)
+def _finish(fou: IT2Word, firings, scb: SampledCodebook) -> PrOutput:
+    s = sample_word(fou, scb.d)
+    centroid = _centroid(s)
     return PrOutput(
         fou=fou.with_centroid(centroid),
         centroid=centroid,
-        decoded=decoded,
+        decoded=_decode_jaccard(s, scb),
         firings=tuple(firings),
     )
 
 
-def solve_molop(
-    rb: RuleBase,
-    inputs: Sequence[str],
-    cb: Codebook,
-    d: Optional[Discretization] = None,
-) -> list[PrOutput]:
+def solve_molop(rb: RuleBase, inputs: Sequence[str], scb: SampledCodebook) -> list[PrOutput]:
     """Fire every rule once, then combine per objective with the shared firings."""
-    d = d or cb.discretization()
-    firings = [fire(r, inputs, cb, d) for r in rb.rules]
+    firings = fire_rules(rb.rules, inputs, scb)
     if all(f == 0.0 for f in firings):
         raise NoRuleFiredError(
             f"no rule fired for input {list(inputs)}; refusing to emit a default word"
         )
     outputs = []
     for k, objective in enumerate(rb.objectives):
-        consequents = [resolve_consequent(r, k, objective, cb, d) for r in rb.rules]
-        outputs.append(_finish(lwa(consequents, firings), firings, cb, d))
+        consequents = [resolve_consequent(r, k, objective, scb.codebook, scb.d) for r in rb.rules]
+        outputs.append(_finish(lwa(consequents, firings), firings, scb))
     return outputs
 
 
-def solve_solop(
-    rb: RuleBase,
-    inputs: Sequence[str],
-    cb: Codebook,
-    d: Optional[Discretization] = None,
-) -> PrOutput:
+def solve_solop(rb: RuleBase, inputs: Sequence[str], scb: SampledCodebook) -> PrOutput:
     if len(rb.objectives) != 1:
         raise DomainError(f"solve_solop needs exactly one objective, got {len(rb.objectives)}")
-    return solve_molop(rb, inputs, cb, d)[0]
+    return solve_molop(rb, inputs, scb)[0]

@@ -7,7 +7,10 @@ sum-ratio form for interval type-2 sets:
     sm(A, B) = (sum min(uA, uB) + sum min(lA, lB))
              / (sum max(uA, uB) + sum max(lA, lB))
 
-with u/l the upper and lower memberships sampled on the grid.
+with u/l the upper and lower memberships sampled on the grid.  A word is
+sampled only on the grid points of its support (``sample_word``), where its
+memberships can be nonzero; ``jaccard_sampled`` is the one kernel that
+compares two such samples.
 """
 
 from __future__ import annotations
@@ -74,28 +77,59 @@ def _check_on_scale(w: IT2Word, d: Discretization) -> None:
         )
 
 
-def jaccard_sampled(
-    lower_a: np.ndarray, upper_a: np.ndarray, lower_b: np.ndarray, upper_b: np.ndarray
-) -> float:
-    """Jaccard measure on pre-sampled membership arrays."""
-    num = np.minimum(upper_a, upper_b).sum() + np.minimum(lower_a, lower_b).sum()
-    den = np.maximum(upper_a, upper_b).sum() + np.maximum(lower_a, lower_b).sum()
-    if den == 0.0:
+@dataclass(frozen=True, eq=False)
+class SampledWord:
+    """A word's lower and upper memberships on the grid points of its support.
+
+    Grid points outside the support have zero membership, so they are not
+    stored: ``xs`` is the slice of the grid from index ``start`` on, and
+    ``mass`` is the sum of both membership arrays.
+    """
+
+    start: int
+    xs: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    mass: float
+
+
+def sample_word(w: IT2Word, d: Discretization = DEFAULT_GRID) -> SampledWord:
+    """Sample the word on the grid points of its support (the union of the
+    UMF and LMF supports; for a valid word, the UMF support)."""
+    _check_on_scale(w, d)
+    grid = d.grid()
+    start = int(np.searchsorted(grid, min(w.umf.a, w.lmf.a), side="left"))
+    stop = int(np.searchsorted(grid, max(w.umf.d, w.lmf.d), side="right"))
+    xs = grid[start:stop]
+    lower, upper = w.lmf.membership_grid(xs), w.umf.membership_grid(xs)
+    return SampledWord(start, xs, lower, upper, float(upper.sum() + lower.sum()))
+
+
+def jaccard_sampled(a: SampledWord, b: SampledWord) -> float:
+    """Jaccard measure of two words sampled on the same grid.
+
+    The minima are nonzero only where both supports overlap, and
+    sum max(p, q) = sum p + sum q - sum min(p, q), so the denominator
+    follows from the two masses.
+    """
+    start = max(a.start, b.start)
+    stop = min(a.start + a.xs.size, b.start + b.xs.size)
+    num = 0.0
+    if start < stop:
+        sa = slice(start - a.start, stop - a.start)
+        sb = slice(start - b.start, stop - b.start)
+        num = float(
+            np.minimum(a.upper[sa], b.upper[sb]).sum() + np.minimum(a.lower[sa], b.lower[sb]).sum()
+        )
+    den = a.mass + b.mass - num
+    if den <= 0.0:
         return 0.0
-    return float(num / den)
+    return num / den
 
 
 def jaccard(a: IT2Word, b: IT2Word, d: Discretization = DEFAULT_GRID) -> float:
     """Similarity in [0, 1]; 1 iff the FOUs coincide on the grid; symmetric."""
-    _check_on_scale(a, d)
-    _check_on_scale(b, d)
-    xs = d.grid()
-    return jaccard_sampled(
-        a.lmf.membership_grid(xs),
-        a.umf.membership_grid(xs),
-        b.lmf.membership_grid(xs),
-        b.umf.membership_grid(xs),
-    )
+    return jaccard_sampled(sample_word(a, d), sample_word(b, d))
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,21 @@ verification baseline, not a solver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .fuzzy import DomainError, Interval, NoRuleFiredError
+
+#: most points ``optimize`` may enumerate on the constraint; a finer step is refused
+MAX_GRID_POINTS = 100_000
+
+
+class GridStepError(DomainError):
+    """The grid step is not positive, or so small that the feasible grid
+    would hold more than MAX_GRID_POINTS points."""
 
 
 class MonotoneMf:
@@ -126,6 +135,18 @@ class OptimizeResult:
     best_score: float
 
 
+def _check_step(c: EqualityConstraint, dims: int, step: float) -> None:
+    if not step > 0.0:  # also rejects NaN
+        raise GridStepError(f"grid step must be positive, got {step}")
+    # each free coordinate takes at most about (hi - lo) / step + 1 values
+    points = math.prod([(c.hi - c.lo) / step + 1.0] * (dims - 1))  # inf on overflow
+    if points > MAX_GRID_POINTS:
+        raise GridStepError(
+            f"grid step {step:g} would enumerate about {points:.3g} points, "
+            f"more than the budget of {MAX_GRID_POINTS}"
+        )
+
+
 def _feasible_grid(c: EqualityConstraint, dims: int, step: float):
     """Grid over the constraint manifold; the last coordinate is eliminated."""
     if dims < 2:
@@ -162,7 +183,9 @@ def optimize(
     objectives: maximize the minimum of the direction-adjusted values (the
     max-min compromise); with ``normalize`` each objective is first rescaled
     to [0, 1] over the feasible grid.  Returns every grid point within
-    ``tie_tol`` of the best score, in grid order.
+    ``tie_tol`` of the best score, in grid order.  A step that is not
+    positive, or that would make the grid hold more than MAX_GRID_POINTS
+    points, raises GridStepError before any point is made.
     """
     n, q = _check_rules(rules)
     if len(directions) != q:
@@ -171,6 +194,7 @@ def optimize(
         if dr not in ("max", "min"):
             raise DomainError(f"direction must be max or min, got {dr!r}")
 
+    _check_step(constraint, n, step)
     points = list(_feasible_grid(constraint, n, step))
     if not points:
         raise DomainError("constraint set contains no feasible grid points")

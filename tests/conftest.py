@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,19 @@ def assert_alpha_cuts_are_weighted_averages(out: IT2Word, words, firings, levels
             cuts = [(alpha_cut(getattr(w, attr), alpha), f) for w, f in fired]
             assert cut.lo == pytest.approx(sum(c.lo * f for c, f in cuts) / total, abs=tol)
             assert cut.hi == pytest.approx(sum(c.hi * f for c, f in cuts) / total, abs=tol)
+
+
+def jaccard_oracle(a: IT2Word, b: IT2Word, d) -> float:
+    """Jaccard oracle: the sum-ratio over every point of ``d.grid()``, from
+    scalar ``Trapezoid.membership`` values, summed exactly."""
+    num, den = [], []
+    for x in d.grid().tolist():
+        ua, ub = a.umf.membership(x), b.umf.membership(x)
+        la, lb = a.lmf.membership(x), b.lmf.membership(x)
+        num += [min(ua, ub), min(la, lb)]
+        den += [max(ua, ub), max(la, lb)]
+    total = math.fsum(den)
+    return math.fsum(num) / total if total else 0.0
 
 
 def assert_report_matches(expected: str, actual: str, num_tol: float = 0.05):

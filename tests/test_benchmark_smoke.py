@@ -1,17 +1,20 @@
-"""Keeps the benchmark harness runnable: one short case-study run, whose
-output checks compare every report against tests/golden."""
+"""Keeps the benchmark harness runnable: short runs of each workload.  The
+case-study run compares every report against tests/golden; each synthetic
+run checks its query outputs against one whole-bundle solve."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_case_study_runs_clean():
+def run_clean(workload: str):
     out = subprocess.run(
-        [sys.executable, "benchmarks/run.py", "--workload", "case-study", "--seed", "1", "--seconds", "0.3"],
+        [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", "1", "--seconds", "0.3"],
         cwd=ROOT,
         capture_output=True,
         text=True,
@@ -21,3 +24,12 @@ def test_case_study_runs_clean():
     result = json.loads(out.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, out.stdout
     assert result["failed"] == 0, out.stdout
+
+
+def test_case_study_runs_clean():
+    run_clean("case-study")
+
+
+@pytest.mark.parametrize("workload", ["pr-scale", "synth-fine"])
+def test_synthetic_workload_runs_clean(workload):
+    run_clean(workload)

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from conftest import assert_report_matches
-from lingopt.cli import main
+from lingopt.cli import MAX_GRID, main
 from lingopt.codebook import format_codebook, load_codebook
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -189,6 +189,67 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith("lingopt: data error:")
         assert err.count("\n") == 1
+
+    @staticmethod
+    def assert_one_line(err: str, kind: str):
+        assert err.startswith(f"lingopt: {kind} error:")
+        assert err.count("\n") == 1
+
+    @staticmethod
+    def problem_file(tmp_path, objective: str) -> str:
+        path = tmp_path / "problem.txt"
+        path.write_text(
+            "problem v1\nterms = VP P A G VG\n"
+            f"objective = {objective}\n"
+            "rule r | A G | auto\n"
+            "alternative x | rules = r | input = A G\n"
+        )
+        return str(path)
+
+    def test_data_error_non_integer_slots(self, capsys, tmp_path):
+        problem = self.problem_file(tmp_path, "o max slots a-b")
+        code, _, err = run_cli(capsys, "solve", "pr", "--problem", problem)
+        assert code == 3
+        self.assert_one_line(err, "data")
+
+    def test_data_error_slot_past_antecedents(self, capsys, tmp_path):
+        problem = self.problem_file(tmp_path, "o max slots 1-9")
+        code, _, err = run_cli(capsys, "solve", "pr", "--problem", problem)
+        assert code == 3
+        self.assert_one_line(err, "data")
+
+    def test_data_error_non_integer_codebook_seed(self, capsys, tmp_path):
+        text = format_codebook(load_codebook("paper-hma"))
+        path = tmp_path / "bad.txt"
+        path.write_text(text.replace("encoder = HMA", "encoder = HMA\nseed = x", 1))
+        code, _, err = run_cli(capsys, "solve", "pr", "--problem", "case-solop", "--codebook", str(path))
+        assert code == 3
+        self.assert_one_line(err, "data")
+
+    def test_data_error_export_fou_out_is_directory(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "export-fou", "--codebook", "paper-hma", "--out", str(tmp_path))
+        assert code == 3
+        self.assert_one_line(err, "data")
+
+    def test_data_error_sample_out_is_directory(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "sample", "--spec", "paper-endpoints", "--out", str(tmp_path))
+        assert code == 3
+        self.assert_one_line(err, "data")
+
+    @pytest.mark.parametrize("step", ["0", "-0.1", "nan", "1e-9"])
+    def test_usage_error_tsukamoto_step(self, capsys, step):
+        # 1e-9 would enumerate about 1e9 points: refused before any is made
+        code, out, err = run_cli(capsys, "solve", "tsukamoto", "--problem", "sm-solop", "--step", step)
+        assert code == 2
+        assert out == ""
+        self.assert_one_line(err, "usage")
+
+    @pytest.mark.parametrize("grid", [2, MAX_GRID + 1])
+    def test_usage_error_grid_out_of_range(self, capsys, grid):
+        code, out, err = run_cli(capsys, "solve", "pr", "--problem", "case-solop", "--grid", str(grid))
+        assert code == 2
+        assert out == ""
+        self.assert_one_line(err, "usage")
 
     def test_levels_flag_is_gone(self):
         with pytest.raises(SystemExit) as exc:

@@ -248,6 +248,6 @@ lmf = 3.5 4.2 5 5 0.9
             (Rule("r1", ("small",), ("small",)), Rule("r2", ("large",), ("large",))),
             (Objective("f"),),
         )
-        out = solve_solop(rb, ("large",), cb)
+        out = solve_solop(rb, ("large",), cb.sampled())
         assert out.decoded == "large"
         assert 0.0 <= out.fou.umf.a and out.fou.umf.d <= 5.0

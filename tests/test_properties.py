@@ -1,15 +1,22 @@
 """Randomized invariant suites: alpha-cut nesting, Jaccard axioms, LWA
 behaviour, centroid oracle agreement and 2-tuple round trips."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_alpha_cuts_are_weighted_averages, random_trapezoid, random_word
-from lingopt.codebook import load_codebook
-from lingopt.fuzzy import Interval, Trapezoid, alpha_cut, classify_fou, FouShape
-from lingopt.reasoning import lwa
+from conftest import (
+    assert_alpha_cuts_are_weighted_averages,
+    jaccard_oracle,
+    random_trapezoid,
+    random_word,
+)
+from lingopt.codebook import Codebook, load_codebook
+from lingopt.fuzzy import DomainError, Interval, IT2Word, Trapezoid, alpha_cut, classify_fou, FouShape
+from lingopt.reasoning import Rule, decode, fire, fire_rules, lwa
 from lingopt.similarity import (
     Discretization,
     centroid_brute,
@@ -101,6 +108,74 @@ class TestJaccardAxioms:
             assert 0.0 <= s_ab <= 1.0
             assert s_ab == pytest.approx(s_ba, abs=1e-12)
             assert jaccard(a, a, GRID) == pytest.approx(1.0)
+
+
+@st.composite
+def oracle_words(draw, name: str) -> IT2Word:
+    """A random valid word, optionally with vertical edges, vertices on grid
+    points, or flush against a scale end."""
+    w = random_word(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    umf, lmf = w.umf, w.lmf
+    if draw(st.booleans()):  # vertical left edges, the LMF's at the UMF's foot
+        umf, lmf = replace(umf, b=umf.a), replace(lmf, a=umf.a, b=umf.a)
+    if draw(st.booleans()):  # vertical right edges
+        umf, lmf = replace(umf, c=umf.d), replace(lmf, c=umf.d, d=umf.d)
+    if draw(st.booleans()):  # vertices on the points of a 0.05-spaced grid
+        umf, lmf = (Trapezoid(*(round(v * 20) / 20 for v in t.vertices), h=t.h) for t in (umf, lmf))
+    shift = draw(st.sampled_from(["none", "left", "right"]))  # touch a scale end
+    if shift != "none":
+        offset = -umf.a if shift == "left" else 10.0 - umf.d
+        umf, lmf = umf.translate(offset), lmf.translate(offset)
+    w = IT2Word(name, umf, lmf)
+    try:
+        w.validate()
+    except DomainError:
+        assume(False)
+    return w
+
+
+@st.composite
+def oracle_codebooks(draw) -> Codebook:
+    n = draw(st.integers(2, 5))
+    return Codebook(Interval(0.0, 10.0), tuple(draw(oracle_words(f"W{i}")) for i in range(n)))
+
+
+def oracle_decode(fou: IT2Word, cb: Codebook, d) -> str:
+    """Highest oracle similarity; within 1e-12 of the best so far is a tie,
+    and a tie goes to the later word."""
+    best, best_sim = None, -1.0
+    for w in cb.words:
+        sim = jaccard_oracle(fou, w, d)
+        if best is None or sim > best_sim + 1e-12:
+            best, best_sim = w.name, sim
+        elif sim >= best_sim - 1e-12:
+            best = w.name
+    return best
+
+
+class TestJaccardOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(oracle_codebooks(), st.sampled_from([101, 201, 501]), st.data())
+    def test_sampled_codebook_matches_oracle(self, cb, points, data):
+        d = Discretization(points, cb.scale)
+        names = cb.names
+        table = {(x, a): jaccard_oracle(cb.word(x), cb.word(a), d) for x in names for a in names}
+        for (x, a), sim in table.items():
+            assert jaccard(cb.word(x), cb.word(a), d) == pytest.approx(sim, abs=1e-12)
+        slots = data.draw(st.integers(1, 4))
+        word_tuples = st.lists(st.sampled_from(names), min_size=slots, max_size=slots).map(tuple)
+        inputs = data.draw(word_tuples)
+        antecedents = data.draw(st.lists(word_tuples, min_size=1, max_size=6))
+        rules = [Rule(f"r{i}", ants, ()) for i, ants in enumerate(antecedents)]
+        for rule, level in zip(rules, fire_rules(rules, inputs, cb.sampled(d))):
+            expected = min(table[pair] for pair in zip(inputs, rule.antecedents))
+            assert level == pytest.approx(expected, abs=1e-12)
+            assert fire(rule, inputs, cb, d) == pytest.approx(expected, abs=1e-12)
+        firings = data.draw(st.lists(st.floats(0.01, 1.0), min_size=len(names), max_size=len(names)))
+        fou = lwa(cb.words, firings)
+        assert decode(fou, cb, d) == oracle_decode(fou, cb, d)
+        for w in cb.words:
+            assert decode(w, cb, d) == oracle_decode(w, cb, d)
 
 
 class TestLwaProperties:

@@ -159,7 +159,7 @@ class TestSolve:
     def test_solop_own_rule(self, hma):
         core = ("VP", "P", "A", "A", "P")
         rb = RuleBase((Rule("SS1", core, (AUTO,)),), (Objective("overall"),))
-        out = solve_solop(rb, core, hma)
+        out = solve_solop(rb, core, hma.sampled())
         assert out.centroid.mean == pytest.approx(3.33, abs=0.05)
         assert out.decoded == "P"
         assert out.firings[0] == pytest.approx(1.0)
@@ -170,7 +170,7 @@ class TestSolve:
             (Objective("f1"), Objective("f2")),
         )
         with pytest.raises(DomainError):
-            solve_solop(rb, ("A",), hma)
+            solve_solop(rb, ("A",), hma.sampled())
 
     def test_input_matching_one_rule_with_others_silent(self, hma):
         # far-apart antecedents: only the matching rule contributes
@@ -181,7 +181,7 @@ class TestSolve:
             ),
             (Objective("f"),),
         )
-        out = solve_solop(rb, ("VG", "VG"), hma)
+        out = solve_solop(rb, ("VG", "VG"), hma.sampled())
         vg = hma.word("VG")
         assert out.firings[0] == 0.0
         np.testing.assert_allclose(out.fou.umf.vertices, vg.umf.vertices, atol=1e-9)
@@ -190,7 +190,7 @@ class TestSolve:
     def test_no_rule_fired(self, hma):
         rb = RuleBase((Rule("r", ("VP",), ("VP",)),), (Objective("f"),))
         with pytest.raises(NoRuleFiredError):
-            solve_molop(rb, ("VG",), hma)
+            solve_molop(rb, ("VG",), hma.sampled())
 
     def test_molop_ss1_outputs_are_codebook_words(self, hma):
         rb = RuleBase(
@@ -200,7 +200,7 @@ class TestSolve:
             ),
             (Objective("core", slots=tuple(range(1, 6))), Objective("elective", slots=(6, 7))),
         )
-        core, elective = solve_molop(rb, SS1_MOLOP_INPUT, hma)
+        core, elective = solve_molop(rb, SS1_MOLOP_INPUT, hma.sampled())
         np.testing.assert_allclose(core.fou.umf.vertices, hma.word("P").umf.vertices, atol=1e-9)
         np.testing.assert_allclose(core.fou.lmf.vertices, hma.word("P").lmf.vertices, atol=1e-9)
         np.testing.assert_allclose(elective.fou.umf.vertices, hma.word("A").umf.vertices, atol=1e-9)
@@ -214,7 +214,7 @@ class TestSolve:
             ),
             (Objective("core", slots=tuple(range(1, 6))), Objective("elective", slots=(6, 7))),
         )
-        core, elective = solve_molop(rb, ("G", "G", "G", "P", "A", "P", "A"), hma)
+        core, elective = solve_molop(rb, ("G", "G", "G", "P", "A", "P", "A"), hma.sampled())
         assert core.centroid.mean == pytest.approx(5.65, abs=0.05)
         assert elective.centroid.mean == pytest.approx(4.35, abs=0.05)
 
@@ -223,7 +223,7 @@ class TestSolve:
             (Rule("only", ("A", "G"), ("A", "G")),),
             (Objective("f1"), Objective("f2")),
         )
-        f1, f2 = solve_molop(rb, ("A", "G"), hma)
+        f1, f2 = solve_molop(rb, ("A", "G"), hma.sampled())
         np.testing.assert_allclose(f1.fou.umf.vertices, hma.word("A").umf.vertices, atol=1e-9)
         np.testing.assert_allclose(f2.fou.umf.vertices, hma.word("G").umf.vertices, atol=1e-9)
 
