@@ -40,6 +40,7 @@ from .twotuple import OutOfScaleError, overflow_check
 
 USAGE_ERROR, DATA_ERROR, ENGINE_ERROR = 2, 3, 4
 MAX_GRID = 1_000_001  # largest --grid accepted; the accuracy reference grid has 100001 points
+MAX_SAMPLE_N = 100_000  # most data intervals `sample` draws per word
 
 
 class UsageError(LingoptError):
@@ -202,6 +203,10 @@ def _cmd_export_fou(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if not 1 <= args.n <= MAX_SAMPLE_N:
+        raise UsageError(f"--n must be between 1 and {MAX_SAMPLE_N}, got {args.n}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be non-negative, got {args.seed}")
     if args.spec == "paper-endpoints":
         specs = STUDENT_ENDPOINTS
     else:

@@ -117,13 +117,14 @@ def alpha_cut(t: Trapezoid, alpha: float) -> Interval:
     """Horizontal cut of ``t`` at level ``alpha``.
 
     Returns [a + (alpha/h)(b - a), d - (alpha/h)(d - c)].  At alpha = 0 this
-    is the support, at alpha = h the core [b, c].
+    is the support, at alpha = h the core [b, c].  Each end is clamped to
+    the core so that rounding never makes the ends cross (b == c, alpha = h).
     """
     if alpha < 0.0 or alpha > t.h + TOL:
         raise DomainError(f"alpha={alpha} outside [0, {t.h}] for cut of height-{t.h} trapezoid")
     alpha = min(alpha, t.h)
     frac = alpha / t.h
-    return Interval(t.a + frac * (t.b - t.a), t.d - frac * (t.d - t.c))
+    return Interval(min(t.a + frac * (t.b - t.a), t.b), max(t.d - frac * (t.d - t.c), t.c))
 
 
 class FouShape(Enum):

@@ -5,7 +5,10 @@ consequent membership functions are strictly monotone, so the rule output is
 the consequent inverse at the firing level, and objectives are the
 firing-weighted average of those inverses.  Optimization is a deliberate
 exhaustive grid search along the equality-constraint line; this module is a
-verification baseline, not a solver.
+verification baseline, not a solver.  The search is evaluated as arrays: the
+feasible grid is one (points, n) array and every objective is computed at
+every point in one pass over the rules.  ``crisp_output`` runs that same
+kernel on a single point.
 """
 
 from __future__ import annotations
@@ -98,25 +101,35 @@ def _check_rules(rules: Sequence[TsukamotoRule]) -> tuple[int, int]:
     return n, q
 
 
-def crisp_output(rules: Sequence[TsukamotoRule], y: Sequence[float]) -> list[float]:
-    """Objective values at point y: alpha-weighted mean of consequent inverses."""
-    n, q = _check_rules(rules)
-    if len(y) != n:
-        raise DomainError(f"expected {n} decision values, got {len(y)}")
+def _crisp_outputs(rules: Sequence[TsukamotoRule], ys: np.ndarray) -> np.ndarray:
+    """Objective values at every row of ys, shape (points, objectives).
+
+    One pass over the rules: firings are products of antecedent memberships
+    taken left to right from 1.0, and firings and numerators are summed in
+    rule order, so each row's floats equal a scalar evaluation of that point.
+    """
     firings = []
     for r in rules:
-        alpha = 1.0
-        for mf, yi in zip(r.antecedents, y):
-            alpha *= float(mf(yi))
+        alpha = np.ones(len(ys))
+        for j, mf in enumerate(r.antecedents):
+            alpha = alpha * mf(ys[:, j])
         firings.append(alpha)
     total = sum(firings)
-    if total == 0.0:
-        raise NoRuleFiredError(f"all rules fire at zero at y={list(y)}")
-    out = []
-    for k in range(q):
-        num = sum(a * float(r.consequents[k].inverse(a)) for a, r in zip(firings, rules))
-        out.append(num / total)
-    return out
+    unfired = np.flatnonzero(total == 0.0)
+    if unfired.size:
+        raise NoRuleFiredError(f"all rules fire at zero at y={ys[unfired[0]].tolist()}")
+    q = len(rules[0].consequents)
+    return np.column_stack(
+        [sum(a * r.consequents[k].inverse(a) for a, r in zip(firings, rules)) / total for k in range(q)]
+    )
+
+
+def crisp_output(rules: Sequence[TsukamotoRule], y: Sequence[float]) -> list[float]:
+    """Objective values at point y: alpha-weighted mean of consequent inverses."""
+    n, _ = _check_rules(rules)
+    if len(y) != n:
+        raise DomainError(f"expected {n} decision values, got {len(y)}")
+    return _crisp_outputs(rules, np.array([y], dtype=float))[0].tolist()
 
 
 @dataclass(frozen=True)
@@ -136,8 +149,8 @@ class OptimizeResult:
 
 
 def _check_step(c: EqualityConstraint, dims: int, step: float) -> None:
-    if not step > 0.0:  # also rejects NaN
-        raise GridStepError(f"grid step must be positive, got {step}")
+    if not (step > 0.0 and math.isfinite(step)):  # also rejects NaN
+        raise GridStepError(f"grid step must be positive and finite, got {step}")
     # each free coordinate takes at most about (hi - lo) / step + 1 values
     points = math.prod([(c.hi - c.lo) / step + 1.0] * (dims - 1))  # inf on overflow
     if points > MAX_GRID_POINTS:
@@ -147,26 +160,35 @@ def _check_step(c: EqualityConstraint, dims: int, step: float) -> None:
         )
 
 
-def _feasible_grid(c: EqualityConstraint, dims: int, step: float):
-    """Grid over the constraint manifold; the last coordinate is eliminated."""
+def _feasible_grid(c: EqualityConstraint, dims: int, step: float) -> np.ndarray:
+    """Grid over the constraint manifold as a (points, dims) array in grid
+    order; the last coordinate is eliminated as total minus the running sum."""
     if dims < 2:
         raise DomainError("need at least two decision variables")
+    blocks = []
 
     def rec(prefix, remaining):
-        if remaining == 1:
-            last = c.total - sum(prefix)
-            if c.lo - 1e-12 <= last <= c.hi + 1e-12:
-                yield (*prefix, min(max(last, c.lo), c.hi))
-            return
-        lo = max(c.lo, c.total - sum(prefix) - c.hi * (remaining - 1))
-        hi = min(c.hi, c.total - sum(prefix) - c.lo * (remaining - 1))
+        s = sum(prefix)
+        lo = max(c.lo, c.total - s - c.hi * (remaining - 1))
+        hi = min(c.hi, c.total - s - c.lo * (remaining - 1))
         if hi < lo:
             return
-        count = int(round((hi - lo) / step)) + 1
-        for v in np.linspace(lo, hi, count):
-            yield from rec((*prefix, float(v)), remaining - 1)
+        vs = np.linspace(lo, hi, int(round((hi - lo) / step)) + 1)
+        if remaining > 2:
+            for v in vs.tolist():
+                rec((*prefix, v), remaining - 1)
+            return
+        last = c.total - (s + vs)
+        ok = (c.lo - 1e-12 <= last) & (last <= c.hi + 1e-12)
+        last = np.clip(last, c.lo, c.hi)
+        block = np.empty((int(ok.sum()), dims))
+        block[:, :-2] = prefix
+        block[:, -2] = vs[ok]
+        block[:, -1] = last[ok]
+        blocks.append(block)
 
-    return rec((), dims)
+    rec((), dims)
+    return np.concatenate(blocks) if blocks else np.empty((0, dims))
 
 
 def optimize(
@@ -184,8 +206,9 @@ def optimize(
     max-min compromise); with ``normalize`` each objective is first rescaled
     to [0, 1] over the feasible grid.  Returns every grid point within
     ``tie_tol`` of the best score, in grid order.  A step that is not
-    positive, or that would make the grid hold more than MAX_GRID_POINTS
-    points, raises GridStepError before any point is made.
+    positive and finite, or that would make the grid hold more than
+    MAX_GRID_POINTS points, raises GridStepError before any point is made.
+    The whole grid is evaluated at once by the ``crisp_output`` kernel.
     """
     n, q = _check_rules(rules)
     if len(directions) != q:
@@ -195,15 +218,12 @@ def optimize(
             raise DomainError(f"direction must be max or min, got {dr!r}")
 
     _check_step(constraint, n, step)
-    points = list(_feasible_grid(constraint, n, step))
-    if not points:
+    points = _feasible_grid(constraint, n, step)
+    if not len(points):
         raise DomainError("constraint set contains no feasible grid points")
-    values = [crisp_output(rules, p) for p in points]
+    values = _crisp_outputs(rules, points)
 
-    adjusted = np.array(values)
-    for k, dr in enumerate(directions):
-        if dr == "min":
-            adjusted[:, k] = -adjusted[:, k]
+    adjusted = np.where([dr == "min" for dr in directions], -values, values)
     if normalize and q > 1:
         lo = adjusted.min(axis=0)
         span = adjusted.max(axis=0) - lo
@@ -214,8 +234,8 @@ def optimize(
     best = float(scores.max())
     keep = np.flatnonzero(scores >= best - tie_tol)
     return OptimizeResult(
-        points=tuple(tuple(points[i]) for i in keep),
-        values=tuple(tuple(values[i]) for i in keep),
+        points=tuple(map(tuple, points[keep].tolist())),
+        values=tuple(map(tuple, values[keep].tolist())),
         best_score=best,
     )
 

@@ -65,6 +65,53 @@ def jaccard_oracle(a: IT2Word, b: IT2Word, d) -> float:
     return math.fsum(num) / total if total else 0.0
 
 
+def _interp(x: float, xs, fs) -> float:
+    """Piecewise-linear interpolation through (xs, fs), xs increasing, flat outside."""
+    if x <= xs[0]:
+        return fs[0]
+    if x >= xs[-1]:
+        return fs[-1]
+    j = max(i for i in range(len(xs) - 1) if xs[i] <= x)
+    return fs[j] + (x - xs[j]) / (xs[j + 1] - xs[j]) * (fs[j + 1] - fs[j])
+
+
+def monotone_oracle(spec, x: float) -> float:
+    """Membership on [0, 1] of a monotone MF spec: ("increasing",),
+    ("decreasing",) or ("custom", xs, mus)."""
+    x = min(max(x, 0.0), 1.0)
+    if spec[0] == "increasing":
+        return x
+    if spec[0] == "decreasing":
+        return 1.0 - x
+    return _interp(x, spec[1], spec[2])
+
+
+def monotone_inverse_oracle(spec, alpha: float) -> float:
+    if spec[0] == "increasing":
+        return alpha
+    if spec[0] == "decreasing":
+        return 1.0 - alpha
+    xs, mus = spec[1], spec[2]
+    if mus[0] < mus[-1]:
+        return _interp(alpha, mus, xs)
+    return _interp(alpha, mus[::-1], xs[::-1])
+
+
+def tsukamoto_oracle(rules, y):
+    """Tsukamoto objective values at point ``y`` from plain floats, or None
+    when every rule fires at zero.  ``rules`` is a list of (antecedent specs,
+    consequent specs) as taken by ``monotone_oracle``."""
+    firings = [math.prod(monotone_oracle(s, yi) for s, yi in zip(ants, y)) for ants, _ in rules]
+    total = math.fsum(firings)
+    if total == 0.0:
+        return None
+    q = len(rules[0][1])
+    return [
+        math.fsum(a * monotone_inverse_oracle(cons[k], a) for a, (_, cons) in zip(firings, rules)) / total
+        for k in range(q)
+    ]
+
+
 def assert_report_matches(expected: str, actual: str, num_tol: float = 0.05):
     """Token-by-token comparison: numeric fields within num_tol, text exact."""
     exp_lines = expected.strip().splitlines()

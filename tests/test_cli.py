@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from conftest import assert_report_matches
-from lingopt.cli import MAX_GRID, main
+from lingopt.cli import MAX_GRID, MAX_SAMPLE_N, main
 from lingopt.codebook import format_codebook, load_codebook
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -36,6 +37,13 @@ class TestGoldenReports:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert_report_matches((GOLDEN / golden).read_text(), out, num_tol=0.05)
+
+    @pytest.mark.parametrize("problem", ["sm-solop", "sm-molop"])
+    def test_tsukamoto_report_bytes(self, capsys, problem):
+        golden = GOLDEN / f"solve_tsukamoto_{problem.replace('-', '_')}.txt"
+        code, out, _ = run_cli(capsys, "solve", "tsukamoto", "--problem", problem)
+        assert code == 0
+        assert out == golden.read_text()
 
     def test_repeat_invocations_byte_identical(self, capsys):
         argv = ["solve", "pr", "--problem", "case-molop", "--codebook", "paper-hma"]
@@ -236,10 +244,20 @@ class TestExitCodes:
         assert code == 3
         self.assert_one_line(err, "data")
 
-    @pytest.mark.parametrize("step", ["0", "-0.1", "nan", "1e-9"])
+    @pytest.mark.parametrize("step", ["0", "-0.1", "nan", "1e-9", "inf"])
     def test_usage_error_tsukamoto_step(self, capsys, step):
         # 1e-9 would enumerate about 1e9 points: refused before any is made
         code, out, err = run_cli(capsys, "solve", "tsukamoto", "--problem", "sm-solop", "--step", step)
+        assert code == 2
+        assert out == ""
+        self.assert_one_line(err, "usage")
+
+    @pytest.mark.parametrize(
+        "flag,value", [("--n", "0"), ("--n", str(MAX_SAMPLE_N + 1)), ("--seed", "-1")]
+    )
+    def test_usage_error_sample_flags(self, capsys, flag, value):
+        # refused before any draw; a large --n is never run here
+        code, out, err = run_cli(capsys, "sample", "--spec", "paper-endpoints", flag, value, "--out", "-")
         assert code == 2
         assert out == ""
         self.assert_one_line(err, "usage")
@@ -262,10 +280,14 @@ class TestExitCodes:
         assert exc.value.code == 2
 
     def test_console_entry_point(self):
+        # the child process imports the package from this checkout, installed or not
+        src = str(Path(__file__).parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         out = subprocess.run(
             [sys.executable, "-m", "lingopt.cli", "solve", "two-tuple", "--problem", "case-solop"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert out.returncode == 0
         assert "ranking = SS2 > SS3 > SS4 > SS1" in out.stdout

@@ -71,6 +71,12 @@ class TestAlphaCut:
         assert cut.lo == pytest.approx(3.495)
         assert cut.hi == pytest.approx(6.45)
 
+    def test_single_point_core_ends_never_cross(self):
+        # d - (d - c) rounds one ulp below c here; the cut must still be [b, c]
+        m = 0.11379094555050466
+        cut = alpha_cut(Trapezoid(0.0, m, m, 1.0), 1.0)
+        assert (cut.lo, cut.hi) == (m, m)
+
     def test_alpha_out_of_range_names_value(self):
         with pytest.raises(DomainError, match="0.9"):
             alpha_cut(Trapezoid(0, 1, 2, 3, h=0.8), 0.9)

@@ -1,11 +1,12 @@
 """Randomized invariant suites: alpha-cut nesting, Jaccard axioms, LWA
 behaviour, centroid oracle agreement and 2-tuple round trips."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -13,6 +14,7 @@ from conftest import (
     jaccard_oracle,
     random_trapezoid,
     random_word,
+    tsukamoto_oracle,
 )
 from lingopt.codebook import Codebook, load_codebook
 from lingopt.fuzzy import DomainError, Interval, IT2Word, Trapezoid, alpha_cut, classify_fou, FouShape
@@ -23,6 +25,14 @@ from lingopt.similarity import (
     centroid_ekm,
     centroid_ekm_from_samples,
     jaccard,
+)
+from lingopt.tsukamoto import (
+    EqualityConstraint,
+    MonotoneMf,
+    NoRuleFiredError,
+    TsukamotoRule,
+    _feasible_grid,
+    optimize,
 )
 from lingopt.twotuple import OrdinalTermSet, to_two_tuple
 
@@ -43,6 +53,8 @@ class TestAlphaCutNesting:
         st.floats(0, 10), st.floats(0, 10), st.floats(0, 10), st.floats(0, 10),
         st.floats(0.05, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
     )
+    # b == c: the core cut d - (d - c) used to round one ulp below b
+    @example(0.0, 0.11379094555050466, 0.11379094555050466, 1.0, 1.0, 0.0, 1.0)
     def test_nesting_hypothesis(self, a, b, c, d, h, f1, f2):
         v = sorted((a, b, c, d))
         t = Trapezoid(*v, h=h)
@@ -176,6 +188,77 @@ class TestJaccardOracle:
         assert decode(fou, cb, d) == oracle_decode(fou, cb, d)
         for w in cb.words:
             assert decode(w, cb, d) == oracle_decode(w, cb, d)
+
+
+@st.composite
+def monotone_specs(draw):
+    kind = draw(st.sampled_from(["increasing", "decreasing", "custom", "custom", "custom", "custom"]))
+    if kind != "custom":
+        return (kind,)
+    inner = draw(st.lists(st.floats(0.01, 0.99), max_size=4, unique=True))
+    xs = (0.0, *sorted(inner), 1.0)
+    mus = sorted(draw(st.lists(st.floats(0.01, 1.0), min_size=len(xs), max_size=len(xs), unique=True)))
+    return ("custom", xs, tuple(mus[::-1] if draw(st.booleans()) else mus))
+
+
+def monotone_mf(spec) -> MonotoneMf:
+    return MonotoneMf(spec[0], samples=spec[1:] or None)
+
+
+class TestTsukamotoOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.integers(2, 3), st.integers(1, 2), st.booleans())
+    def test_optimize_matches_oracle(self, data, n, q, normalize):
+        specs = data.draw(
+            st.lists(
+                st.tuples(
+                    st.lists(monotone_specs(), min_size=n, max_size=n),
+                    st.lists(monotone_specs(), min_size=q, max_size=q),
+                ),
+                min_size=1,
+                max_size=3,
+            )
+        )
+        rules = [TsukamotoRule(tuple(map(monotone_mf, a)), tuple(map(monotone_mf, c))) for a, c in specs]
+        lo = data.draw(st.sampled_from([0.0, 0.1, 0.25]))
+        hi = data.draw(st.sampled_from([1.0, 0.9, 0.75]))
+        c = EqualityConstraint(data.draw(st.floats(n * lo, n * hi)), lo, hi)
+        directions = data.draw(st.lists(st.sampled_from(["max", "min"]), min_size=q, max_size=q))
+        step = data.draw(st.sampled_from([0.02, 0.05, 0.1]))
+        tie_tol = data.draw(st.sampled_from([1e-9, 1e-3]))
+
+        grid = [[float(v) for v in p] for p in _feasible_grid(c, n, step)]
+        if not grid:
+            with pytest.raises(DomainError, match="no feasible grid points"):
+                optimize(rules, c, directions, step, tie_tol, normalize)
+            return
+        for p in grid:
+            assert sum(p) == pytest.approx(c.total, abs=1e-9)
+            assert all(lo <= v <= hi for v in p)
+        values = [tsukamoto_oracle(specs, p) for p in grid]
+        if None in values:
+            first = grid[values.index(None)]
+            with pytest.raises(NoRuleFiredError, match=re.escape(f"y={first}")):
+                optimize(rules, c, directions, step, tie_tol, normalize)
+            return
+
+        adjusted = [[-v if dr == "min" else v for v, dr in zip(row, directions)] for row in values]
+        if normalize and q > 1:
+            cols = list(zip(*adjusted))
+            los = [min(col) for col in cols]
+            spans = [max(col) - m for col, m in zip(cols, los)]
+            assume(min(spans) > 1e-6)  # a flatter objective turns rounding into score noise
+            adjusted = [[(v - m) / s for v, m, s in zip(row, los, spans)] for row in adjusted]
+        scores = [min(row) for row in adjusted]
+        threshold = max(scores) - tie_tol
+        # a score within rounding of the threshold has no exact side to be on
+        assume(all(abs(sc - threshold) > tie_tol / 10 for sc in scores))
+        keep = [i for i, sc in enumerate(scores) if sc >= threshold]
+
+        result = optimize(rules, c, directions, step, tie_tol, normalize)
+        assert result.points == tuple(tuple(grid[i]) for i in keep)
+        for got, i in zip(result.values, keep):
+            assert got == pytest.approx(values[i], abs=1e-12)
 
 
 class TestLwaProperties:
