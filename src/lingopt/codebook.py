@@ -26,15 +26,23 @@ End-point spec files use the same framing with ``endpoints v1`` and per-word
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .fuzzy import DomainError, Interval, IT2Word, LingoptError, Trapezoid
-from .similarity import Centroid, Discretization, SampledWord, centroid_ekm, sample_word
+from .similarity import (
+    Centroid,
+    Discretization,
+    SampledWord,
+    centroid_ekm,
+    jaccard_sampled,
+    sample_word,
+)
 
 GENERATOR_NAME = "pcg64"  # numpy default_rng
 CENTROID_CACHE_TOL = 0.05  # fixture centroids are printed to 2 decimals
@@ -83,65 +91,102 @@ class DataIntervalSet:
 
 @dataclass(frozen=True)
 class Codebook:
-    """Ordered vocabulary of IT2 words on a fixed scale."""
+    """Ordered vocabulary of IT2 words on a fixed scale.
+
+    The instance keeps two derived caches outside equality, hashing and
+    ``repr``: a name -> position map, and the ``SampledCodebook`` for the
+    grid ``sampled`` was last asked for.  The codebook and its words are
+    immutable, so neither can go stale; ``dataclasses.replace`` builds a new
+    instance, which starts without a sampling.
+    """
 
     scale: Interval
     words: tuple[IT2Word, ...]
     encoder_tag: str = "external"
     generator: Optional[str] = None
     seed: Optional[int] = None
+    _positions: dict[str, int] = field(init=False, repr=False, compare=False)
+    _sampled: Optional[SampledCodebook] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        names = [w.name for w in self.words]
-        if len(set(names)) != len(names):
-            raise CodebookError(f"duplicate word names in codebook: {names}")
+        positions = {w.name: i for i, w in enumerate(self.words)}
+        if len(positions) != len(self.words):
+            raise CodebookError(f"duplicate word names in codebook: {list(self.names)}")
+        object.__setattr__(self, "_positions", positions)
 
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(w.name for w in self.words)
 
+    def _position(self, name: str) -> int:
+        try:
+            return self._positions[name]
+        except KeyError:
+            raise _unknown_word(name, self.names) from None
+
     def word(self, name: str) -> IT2Word:
-        for w in self.words:
-            if w.name == name:
-                return w
-        raise self._unknown(name)
+        return self.words[self._position(name)]
 
     def index(self, name: str) -> int:
         """1-based position of the word in the vocabulary order."""
-        for i, w in enumerate(self.words):
-            if w.name == name:
-                return i + 1
-        raise self._unknown(name)
-
-    def _unknown(self, name: str) -> CodebookError:
-        return CodebookError(f"unknown word {name!r}; codebook has {list(self.names)}")
+        return self._position(name) + 1
 
     def discretization(self, points: int = 1001) -> Discretization:
         return Discretization(points=points, scale=self.scale)
 
-    def sampled(self, d: Optional[Discretization] = None) -> "SampledCodebook":
-        """The words sampled once on ``d`` (default: this codebook's grid)."""
-        return SampledCodebook(self, d or self.discretization())
+    def sampled(self, d: Optional[Discretization] = None) -> SampledCodebook:
+        """The words sampled on ``d`` (default: this codebook's grid).
+
+        The sampling is kept for the grid last asked for and returned again
+        while ``d`` stays equal, so repeated solves share it and its table
+        of pair similarities.  One slot bounds the memory to one grid.
+        """
+        d = d or self.discretization()
+        scb = self._sampled
+        if scb is None or scb.d != d:
+            scb = SampledCodebook(self, d)
+            object.__setattr__(self, "_sampled", scb)
+        return scb
+
+
+def _unknown_word(name: str, names: Sequence[str]) -> CodebookError:
+    return CodebookError(f"unknown word {name!r}; codebook has {list(names)}")
 
 
 class SampledCodebook:
-    """A codebook's words sampled once on one grid, to be shared by a solve.
+    """A codebook's words sampled once on one grid, with the Jaccard
+    similarities of the word pairs compared so far.
 
     Each word is stored as a ``SampledWord``: its memberships on the grid
     points of its support only.  Building it runs the on-scale check of
     ``jaccard`` on every word, so a grid that does not cover the codebook
-    raises ``DomainError`` here.
+    raises ``DomainError`` here.  Pair similarities are computed on first
+    use, not for all V x V pairs up front.
+
+    It holds no reference to the codebook that keeps it: that would be a
+    cycle, and a dropped codebook would wait for the cyclic garbage
+    collector instead of being freed at once.
     """
 
     def __init__(self, cb: Codebook, d: Discretization):
-        self.codebook, self.d = cb, d
-        self.words = {w.name: sample_word(w, d) for w in cb.words}  # vocabulary order
+        self.names, self.d = cb.names, d
+        self._positions = cb._positions
+        self.words = tuple(sample_word(w, d) for w in cb.words)  # vocabulary order
+        self.pairs: dict[tuple[str, str], float] = {}
 
     def __getitem__(self, name: str) -> SampledWord:
         try:
-            return self.words[name]
+            return self.words[self._positions[name]]
         except KeyError:
-            raise self.codebook._unknown(name) from None
+            raise _unknown_word(name, self.names) from None
+
+    def similarity(self, x: str, y: str) -> float:
+        """Jaccard similarity of words ``x`` and ``y``, computed once per pair."""
+        try:
+            return self.pairs[x, y]
+        except KeyError:
+            sim = self.pairs[x, y] = jaccard_sampled(self[x], self[y])
+            return sim
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +381,13 @@ def _floats(value: str, n: int, where: str) -> list[float]:
     if len(parts) != n:
         raise CodebookError(f"{where}: expected {n} numbers, got {value!r}")
     try:
-        return [float(p) for p in parts]
+        values = [float(p) for p in parts]
     except ValueError as e:
         raise CodebookError(f"{where}: {e}") from e
+    for p, v in zip(parts, values):
+        if not math.isfinite(v):
+            raise CodebookError(f"{where}: {p!r} is not a finite number")
+    return values
 
 
 def parse_codebook(text: str) -> Codebook:
@@ -416,11 +465,12 @@ def format_codebook(cb: Codebook) -> str:
     for w in cb.words:
         lines.append("")
         lines.append(f"word {w.name}")
-        lines.append("umf = " + " ".join(repr(v) for v in w.umf.vertices))
-        lines.append("lmf = " + " ".join(repr(v) for v in (*w.lmf.vertices, w.lmf.h)))
+        # float() first: the repr of a numpy scalar is not a number the parser reads
+        lines.append("umf = " + " ".join(repr(float(v)) for v in w.umf.vertices))
+        lines.append("lmf = " + " ".join(repr(float(v)) for v in (*w.lmf.vertices, w.lmf.h)))
         if w.centroid is not None:
             c = w.centroid
-            lines.append(f"centroid = {c.cl!r} {c.cr!r} {c.mean!r}")
+            lines.append("centroid = " + " ".join(repr(float(v)) for v in (c.cl, c.cr, c.mean)))
     return "\n".join(lines) + "\n"
 
 

@@ -125,7 +125,6 @@ def solve_pr_bundle(
     cb: Codebook,
     d: Optional[Discretization] = None,
 ) -> PrBundleResult:
-    scb = cb.sampled(d)  # every alternative shares one sampling of the codebook
     outputs: dict[str, list[PrOutput]] = {}
     for alt in bundle.alternatives:
         if alt.input is None:
@@ -133,7 +132,7 @@ def solve_pr_bundle(
                 f"alternative {alt.label!r} has no input vector to fire the rules with"
             )
         rb = RuleBase(alt.rules, bundle.objectives)
-        outputs[alt.label] = solve_molop(rb, alt.input, scb)
+        outputs[alt.label] = solve_molop(rb, alt.input, cb, d)
     means = {label: [o.centroid.mean for o in outs] for label, outs in outputs.items()}
     return PrBundleResult(outputs, _rank(bundle, means))
 
@@ -300,18 +299,22 @@ def load_problem(source: Union[str, Path]) -> ProblemBundle:
 # Text format
 
 
-def _parse_slots(spec: str) -> tuple[int, ...]:
+def _parse_slots(spec: str, antecedents: int) -> tuple[int, ...]:
+    """Expand a slot spec such as ``1-3,5``.  Each range end is checked
+    against ``antecedents``, the most any rule has, before the range is
+    expanded, so a huge range is refused rather than built."""
     slots: list[int] = []
-    try:
-        for part in spec.split(","):
-            part = part.strip()
-            if "-" in part:
-                lo, hi = part.split("-", 1)
-                slots.extend(range(int(lo), int(hi) + 1))
-            else:
-                slots.append(int(part))
-    except ValueError:
-        raise ProblemError(f"bad slot spec {spec!r}") from None
+    for part in spec.split(","):
+        lo, dash, hi = part.partition("-")
+        try:
+            lo, hi = int(lo), int(hi if dash else lo)
+        except ValueError:
+            raise ProblemError(f"bad slot spec {spec!r}") from None
+        if hi > antecedents:
+            raise ProblemError(
+                f"slot spec {spec!r}: slot {hi} is past the {antecedents} antecedents of the rules"
+            )
+        slots.extend(range(lo, hi + 1))
     if not slots or any(s < 1 for s in slots):
         raise ProblemError(f"bad slot spec {spec!r}")
     return tuple(slots)
@@ -330,7 +333,7 @@ def parse_problem(text: str) -> ProblemBundle:
     name = "unnamed"
     codebook_id = "paper-hma"
     terms: Optional[tuple[str, ...]] = None
-    objectives: list[Objective] = []
+    objective_specs: list[tuple[str, str, Optional[str]]] = []  # name, direction, slot spec
     ranking: Optional[tuple[str, ...]] = None
     rules: dict[str, Rule] = {}
     alternatives: list[Alternative] = []
@@ -379,9 +382,9 @@ def parse_problem(text: str) -> ProblemBundle:
             elif key == "objective":
                 parts = value.split()
                 if len(parts) == 2:
-                    objectives.append(Objective(parts[0], parts[1]))
+                    objective_specs.append((parts[0], parts[1], None))
                 elif len(parts) == 4 and parts[2] == "slots":
-                    objectives.append(Objective(parts[0], parts[1], _parse_slots(parts[3])))
+                    objective_specs.append((parts[0], parts[1], parts[3]))
                 else:
                     raise ProblemError(f"bad objective line: {value!r}")
             elif key == "ranking":
@@ -391,6 +394,12 @@ def parse_problem(text: str) -> ProblemBundle:
 
     if terms is None:
         raise ProblemError("problem file must declare terms")
+    # slot specs wait for the rules, whose antecedent count bounds them
+    most = max((len(r.antecedents) for r in rules.values()), default=0)
+    objectives = [
+        Objective(name, direction, None if spec is None else _parse_slots(spec, most))
+        for name, direction, spec in objective_specs
+    ]
     if not objectives:
         raise ProblemError("problem file must declare at least one objective")
     if ranking is None:

@@ -10,13 +10,14 @@ consequent UMFs, and the LMF the weighted average of the consequent LMFs cut
 at h, the smallest fired-consequent LMF height.  ``decode`` maps the output
 FOU back to a codebook word.
 
-Inputs, antecedents and decoded words all come from one codebook, so a solve
-samples it once: a ``SampledCodebook`` holds each word's memberships on the
-grid points of its support only.  Firing looks each distinct (input,
-antecedent) pair up in a per-alternative table of Jaccard similarities, and
-only the output FOUs and ``auto`` consequents are sampled afresh, each on
-its own support.  ``fire`` and ``decode`` run the same code on a codebook
-sampled for the one call.
+Inputs, antecedents and decoded words all come from one codebook, so it is
+sampled once per grid: ``Codebook.sampled`` keeps a ``SampledCodebook``,
+which holds each word's memberships on the grid points of its support only,
+for every solve on that codebook and grid.  Firing looks each (input,
+antecedent) pair up in that sampling's table of Jaccard similarities, which
+computes a pair the first time it is asked for.  Only the output FOUs and
+``auto`` consequents are sampled afresh, each on its own support.  ``fire``
+and ``decode`` run the same code through ``Codebook.sampled``.
 """
 
 from __future__ import annotations
@@ -134,20 +135,17 @@ def fire_rules(rules: Sequence[Rule], inputs: Sequence[str], scb: SampledCodeboo
     """Firing level of each rule: the minimum over its slots of the Jaccard
     similarity between input and antecedent word.
 
-    The similarities form a table over the (input, antecedent) word pairs
-    that occur; each pair is compared once, however many slots share it.
+    The similarities come from the sampled codebook's table of word pairs,
+    so each (input, antecedent) pair is compared once per codebook and grid,
+    however many slots, rules and solves share it.
     """
-    table: dict[tuple[str, str], float] = {}
     firings = []
     for rule in rules:
         if len(inputs) != len(rule.antecedents):
             raise DomainError(
                 f"rule {rule.label!r} expects {len(rule.antecedents)} inputs, got {len(inputs)}"
             )
-        for pair in zip(inputs, rule.antecedents):
-            if pair not in table:
-                table[pair] = jaccard_sampled(scb[pair[0]], scb[pair[1]])
-        firings.append(min(table[pair] for pair in zip(inputs, rule.antecedents)))
+        firings.append(min(scb.similarity(x, a) for x, a in zip(inputs, rule.antecedents)))
     return firings
 
 
@@ -189,7 +187,7 @@ def _best(names: Sequence[str], scores: Sequence[float]) -> str:
 
 
 def _decode_jaccard(s: SampledWord, scb: SampledCodebook) -> str:
-    return _best(list(scb.words), [jaccard_sampled(s, w) for w in scb.words.values()])
+    return _best(scb.names, [jaccard_sampled(s, w) for w in scb.words])
 
 
 def _decode_mean(mean: float, cb: Codebook) -> str:
@@ -270,8 +268,11 @@ def _finish(fou: IT2Word, firings, scb: SampledCodebook) -> PrOutput:
     )
 
 
-def solve_molop(rb: RuleBase, inputs: Sequence[str], scb: SampledCodebook) -> list[PrOutput]:
+def solve_molop(
+    rb: RuleBase, inputs: Sequence[str], cb: Codebook, d: Optional[Discretization] = None
+) -> list[PrOutput]:
     """Fire every rule once, then combine per objective with the shared firings."""
+    scb = cb.sampled(d)
     firings = fire_rules(rb.rules, inputs, scb)
     if all(f == 0.0 for f in firings):
         raise NoRuleFiredError(
@@ -279,12 +280,14 @@ def solve_molop(rb: RuleBase, inputs: Sequence[str], scb: SampledCodebook) -> li
         )
     outputs = []
     for k, objective in enumerate(rb.objectives):
-        consequents = [resolve_consequent(r, k, objective, scb.codebook, scb.d) for r in rb.rules]
+        consequents = [resolve_consequent(r, k, objective, cb, scb.d) for r in rb.rules]
         outputs.append(_finish(lwa(consequents, firings), firings, scb))
     return outputs
 
 
-def solve_solop(rb: RuleBase, inputs: Sequence[str], scb: SampledCodebook) -> PrOutput:
+def solve_solop(
+    rb: RuleBase, inputs: Sequence[str], cb: Codebook, d: Optional[Discretization] = None
+) -> PrOutput:
     if len(rb.objectives) != 1:
         raise DomainError(f"solve_solop needs exactly one objective, got {len(rb.objectives)}")
-    return solve_molop(rb, inputs, scb)[0]
+    return solve_molop(rb, inputs, cb, d)[0]

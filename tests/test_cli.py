@@ -226,6 +226,36 @@ class TestExitCodes:
         assert code == 3
         self.assert_one_line(err, "data")
 
+    def test_data_error_huge_slot_range(self, capsys, tmp_path):
+        # refused before the range is expanded into a list of slots
+        problem = self.problem_file(tmp_path, "o max slots 1-100000000000")
+        code, out, err = run_cli(capsys, "solve", "pr", "--problem", problem)
+        assert code == 3
+        assert out == ""
+        self.assert_one_line(err, "data")
+
+    def test_data_error_non_finite_codebook_number(self, capsys, tmp_path):
+        # a NaN centroid passes every centroid check, so it must not load
+        text = format_codebook(load_codebook("paper-hma"))
+        centroid = next(line for line in text.splitlines() if line.startswith("centroid = "))
+        path = tmp_path / "bad.txt"
+        path.write_text(text.replace(centroid, "centroid = nan nan 5", 1))
+        code, out, err = run_cli(capsys, "solve", "pr", "--problem", "case-solop", "--codebook", str(path))
+        assert code == 3
+        assert out == ""
+        self.assert_one_line(err, "data")
+
+    @pytest.mark.parametrize("line", ["scale = 0 inf", "left = 0 nan"])
+    def test_data_error_non_finite_endpoint_number(self, capsys, tmp_path, line):
+        spec = tmp_path / "spec.txt"
+        lines = ["endpoints v1", "scale = 0 10", "word VP", "left = 0 0", "right = 2 3"]
+        key = line.split(" = ")[0]
+        spec.write_text("\n".join(line if old.startswith(key) else old for old in lines) + "\n")
+        code, out, err = run_cli(capsys, "sample", "--spec", str(spec), "--out", "-")
+        assert code == 3
+        assert out == ""
+        self.assert_one_line(err, "data")
+
     def test_data_error_non_integer_codebook_seed(self, capsys, tmp_path):
         text = format_codebook(load_codebook("paper-hma"))
         path = tmp_path / "bad.txt"

@@ -1,3 +1,7 @@
+import gc
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,6 +25,8 @@ from lingopt.codebook import (
     encode_word,
 )
 from lingopt.fuzzy import Interval, IT2Word, Trapezoid
+from lingopt.reasoning import Rule, fire_rules
+from lingopt.similarity import jaccard
 
 # Printed FOU data for the two fixture codebooks: every vertex and height.
 HMA_EXPECTED = {
@@ -71,6 +77,41 @@ class TestFixtures:
         assert hma.index("VG") == 5
         with pytest.raises(CodebookError):
             hma.word("XX")
+
+
+class TestSampledCodebook:
+    def test_sampling_is_kept_for_the_last_grid(self, hma):
+        cb = replace(hma)  # an instance of its own: the session fixture's slot is shared
+        d = cb.discretization(201)
+        scb = cb.sampled(d)
+        assert cb.sampled(d) is scb
+        assert cb.sampled(cb.discretization(201)) is scb
+        assert cb.sampled().d == cb.discretization()
+        assert cb.sampled(d) is not scb  # one slot: the 201-point sampling was dropped
+        twin = replace(cb)
+        assert twin.sampled(d) is not cb.sampled(d)
+        assert twin == cb and hash(twin) == hash(cb) and repr(twin) == repr(hma)
+
+    def test_sampling_is_freed_with_its_codebook(self, hma):
+        cb = replace(hma)
+        sampling = weakref.ref(cb.sampled())
+        gc.disable()
+        try:
+            del cb
+            assert sampling() is None  # freed by reference counting: no cycle
+        finally:
+            gc.enable()
+
+    def test_pair_table_holds_the_pairs_fired(self, hma):
+        scb = replace(hma).sampled()
+        rules = [Rule("r1", ("A", "G"), ()), Rule("r2", ("A", "VG"), ())]
+        first = fire_rules(rules, ("A", "G"), scb)
+        assert set(scb.pairs) == {("A", "A"), ("G", "G"), ("G", "VG")}
+        assert scb.pairs[("G", "VG")] == jaccard(hma.word("G"), hma.word("VG"), scb.d)
+        assert fire_rules(rules, ("A", "G"), scb) == first
+        with pytest.raises(CodebookError, match="unknown word 'XX'"):
+            fire_rules(rules, ("XX", "G"), scb)
+        assert ("XX", "A") not in scb.pairs
 
 
 class TestSampling:
@@ -248,6 +289,6 @@ lmf = 3.5 4.2 5 5 0.9
             (Rule("r1", ("small",), ("small",)), Rule("r2", ("large",), ("large",))),
             (Objective("f"),),
         )
-        out = solve_solop(rb, ("large",), cb.sampled())
+        out = solve_solop(rb, ("large",), cb)
         assert out.decoded == "large"
         assert 0.0 <= out.fou.umf.a and out.fou.umf.d <= 5.0

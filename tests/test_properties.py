@@ -1,5 +1,6 @@
 """Randomized invariant suites: alpha-cut nesting, Jaccard axioms, LWA
-behaviour, centroid oracle agreement and 2-tuple round trips."""
+behaviour, centroid oracle agreement, 2-tuple round trips and text-format
+round trips."""
 
 import re
 from dataclasses import replace
@@ -16,10 +17,12 @@ from conftest import (
     random_word,
     tsukamoto_oracle,
 )
-from lingopt.codebook import Codebook, load_codebook
+from lingopt.codebook import Codebook, format_codebook, load_codebook, parse_codebook
 from lingopt.fuzzy import DomainError, Interval, IT2Word, Trapezoid, alpha_cut, classify_fou, FouShape
-from lingopt.reasoning import Rule, decode, fire, fire_rules, lwa
+from lingopt.problems import Alternative, ProblemBundle, format_problem, parse_problem
+from lingopt.reasoning import AUTO, AUTO_WORD, Objective, Rule, decode, fire, fire_rules, lwa
 from lingopt.similarity import (
+    DegenerateWordError,
     Discretization,
     centroid_brute,
     centroid_ekm,
@@ -165,29 +168,48 @@ def oracle_decode(fou: IT2Word, cb: Codebook, d) -> str:
     return best
 
 
+def assert_fire_and_decode_match_oracle(cb: Codebook, d, rules, inputs, firings):
+    """``fire_rules`` on ``cb.sampled(d)``, public ``fire`` and ``decode`` of
+    an LWA output and of every word agree with the oracle on ``d``."""
+    for rule, level in zip(rules, fire_rules(rules, inputs, cb.sampled(d))):
+        expected = min(jaccard_oracle(cb.word(x), cb.word(a), d) for x, a in zip(inputs, rule.antecedents))
+        assert level == pytest.approx(expected, abs=1e-12)
+        assert fire(rule, inputs, cb, d) == pytest.approx(expected, abs=1e-12)
+    fou = lwa(cb.words, firings)
+    assert decode(fou, cb, d) == oracle_decode(fou, cb, d)
+    for w in cb.words:
+        assert decode(w, cb, d) == oracle_decode(w, cb, d)
+
+
 class TestJaccardOracle:
     @settings(max_examples=100, deadline=None)
     @given(oracle_codebooks(), st.sampled_from([101, 201, 501]), st.data())
     def test_sampled_codebook_matches_oracle(self, cb, points, data):
         d = Discretization(points, cb.scale)
         names = cb.names
-        table = {(x, a): jaccard_oracle(cb.word(x), cb.word(a), d) for x in names for a in names}
-        for (x, a), sim in table.items():
-            assert jaccard(cb.word(x), cb.word(a), d) == pytest.approx(sim, abs=1e-12)
+        for x in names:
+            for a in names:
+                sim = jaccard_oracle(cb.word(x), cb.word(a), d)
+                assert jaccard(cb.word(x), cb.word(a), d) == pytest.approx(sim, abs=1e-12)
         slots = data.draw(st.integers(1, 4))
         word_tuples = st.lists(st.sampled_from(names), min_size=slots, max_size=slots).map(tuple)
         inputs = data.draw(word_tuples)
         antecedents = data.draw(st.lists(word_tuples, min_size=1, max_size=6))
         rules = [Rule(f"r{i}", ants, ()) for i, ants in enumerate(antecedents)]
-        for rule, level in zip(rules, fire_rules(rules, inputs, cb.sampled(d))):
-            expected = min(table[pair] for pair in zip(inputs, rule.antecedents))
-            assert level == pytest.approx(expected, abs=1e-12)
-            assert fire(rule, inputs, cb, d) == pytest.approx(expected, abs=1e-12)
         firings = data.draw(st.lists(st.floats(0.01, 1.0), min_size=len(names), max_size=len(names)))
-        fou = lwa(cb.words, firings)
-        assert decode(fou, cb, d) == oracle_decode(fou, cb, d)
-        for w in cb.words:
-            assert decode(w, cb, d) == oracle_decode(w, cb, d)
+        assert_fire_and_decode_match_oracle(cb, d, rules, inputs, firings)
+
+        # the same codebook object on a second grid: its kept sampling must not serve it
+        other = Discretization(data.draw(st.sampled_from([p for p in (101, 201, 501) if p != points])), cb.scale)
+        assert_fire_and_decode_match_oracle(cb, other, rules, inputs, firings)
+        # a copy with one word moved, on the first grid again
+        i = data.draw(st.integers(0, len(names) - 1))
+        w = cb.words[i]
+        room_left, room_right = w.umf.a - cb.scale.lo, cb.scale.hi - w.umf.d
+        offset = room_right / 2 if room_right > room_left else -room_left / 2
+        moved = IT2Word(w.name, w.umf.translate(offset), w.lmf.translate(offset))
+        words = cb.words[:i] + (moved,) + cb.words[i + 1:]
+        assert_fire_and_decode_match_oracle(replace(cb, words=words), d, rules, inputs, firings)
 
 
 @st.composite
@@ -368,3 +390,68 @@ class TestTwoTupleRoundTrip:
         t = to_two_tuple(beta, ts)
         assert t.index == index
         assert t.alpha == pytest.approx(alpha, abs=1e-9)
+
+
+TOKENS = st.text("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-.", min_size=1, max_size=6)
+
+
+@st.composite
+def loaded_codebooks(draw) -> Codebook:
+    """A codebook as the loader returns it: valid words on an integer scale,
+    in nondecreasing centroid order, each carrying its centroid."""
+    lo = draw(st.integers(-20, 20))
+    scale = Interval(float(lo), float(lo + draw(st.integers(1, 50))))
+    names = draw(st.lists(TOKENS, min_size=1, max_size=5, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = Discretization(1001, scale)
+    words = []
+    for name in names:
+        w = replace(random_word(rng, scale.lo, scale.hi), name=name)
+        try:
+            words.append(w.with_centroid(centroid_ekm(w, d)))
+        except DegenerateWordError:
+            assume(False)
+    words.sort(key=lambda w: w.centroid.mean)
+    generator = draw(st.none() | TOKENS)
+    seed = draw(st.none() | st.integers(-(2**63), 2**63))
+    return Codebook(scale, tuple(words), draw(TOKENS), generator, seed)
+
+
+@st.composite
+def problem_bundles(draw) -> ProblemBundle:
+    n = draw(st.integers(1, 4))  # antecedents of every rule
+    names = draw(st.lists(TOKENS, min_size=1, max_size=3, unique=True))
+    slots = st.none() | st.lists(st.integers(1, n), min_size=1, max_size=4).map(tuple)
+    objectives = tuple(Objective(o, draw(st.sampled_from(["max", "min"])), draw(slots)) for o in names)
+    consequent = TOKENS | st.sampled_from([AUTO, AUTO_WORD])
+    rules = [
+        Rule(
+            label,
+            tuple(draw(st.lists(TOKENS, min_size=n, max_size=n))),
+            tuple(draw(st.lists(consequent, min_size=len(names), max_size=len(names)))),
+        )
+        for label in draw(st.lists(TOKENS, min_size=1, max_size=5, unique=True))
+    ]
+    alternatives = tuple(
+        Alternative(
+            draw(TOKENS),
+            tuple(draw(st.lists(st.sampled_from(rules), min_size=1, max_size=3))),
+            draw(st.none() | st.lists(TOKENS, min_size=n, max_size=n).map(tuple)),
+        )
+        for _ in range(draw(st.integers(1, 3)))
+    )
+    ranking = tuple(draw(st.lists(st.sampled_from(names), min_size=1, max_size=2)))
+    terms = tuple(draw(st.lists(TOKENS, min_size=1, max_size=5)))
+    return ProblemBundle(draw(TOKENS), objectives, alternatives, ranking, terms, draw(TOKENS))
+
+
+class TestTextFormatRoundTrip:
+    @settings(max_examples=50, deadline=None)
+    @given(loaded_codebooks())
+    def test_codebook(self, cb):
+        assert parse_codebook(format_codebook(cb)) == cb
+
+    @settings(max_examples=100, deadline=None)
+    @given(problem_bundles())
+    def test_problem(self, bundle):
+        assert parse_problem(format_problem(bundle)) == bundle
