@@ -4,20 +4,17 @@ case-study fixtures."""
 
 from .fuzzy import (
     DomainError,
-    FouShape,
     Interval,
     IT2Word,
     LingoptError,
     NoRuleFiredError,
     Trapezoid,
     alpha_cut,
-    classify_fou,
 )
 from .similarity import (
     Centroid,
     DegenerateWordError,
     Discretization,
-    centroid_brute,
     centroid_ekm,
     jaccard,
     rank_by_centroid,
@@ -26,12 +23,9 @@ from .codebook import (
     Codebook,
     CodebookError,
     DataIntervalSet,
-    EncoderError,
     EndpointSpec,
     SampledCodebook,
-    encode_word,
     load_codebook,
-    register_encoder,
     sample_person_fou,
     save_codebook,
 )
@@ -52,7 +46,6 @@ from .twotuple import (
     OrdinalTermSet,
     OutOfScaleError,
     TwoTuple,
-    compare,
     molop_solve,
     overflow_check,
     solop_aggregate,

@@ -2,12 +2,15 @@
 
 Two codebooks for the student-performance vocabulary ship as embedded
 fixtures under the ids ``paper-hma`` and ``paper-ia`` (HMA- and IA-encoded
-word models, transcribed verbatim).  The interval-data encoders themselves
-(HMA / EIA / IA) are deliberately not implemented here: ``encode_word`` is a
-pluggable seam, and the built-in "fixture-passthrough" encoder refuses to
-run so nobody mistakes the fixtures for regenerable output.
+word models, transcribed verbatim).  They are inputs to the engines: the
+interval-data encoders that produced them (HMA / EIA / IA) are not part of
+this package, which only draws data intervals from end-point specs.
 
-Codebook file grammar (whitespace separated, ``#`` starts a comment)::
+Codebook and end-point files share one framing, read by ``_read_records``
+(whitespace separated, ``#`` starts a comment): a magic line, ``key = value``
+header lines, then a ``word NAME`` line per word followed by that word's
+``key = value`` lines.  A key the file kind does not know, or one given twice
+in the header or in one word, is refused.  A codebook file::
 
     codebook v1
     scale = 0 10
@@ -20,8 +23,8 @@ Codebook file grammar (whitespace separated, ``#`` starts a comment)::
     lmf = 0 0 2.04 3.04 1.0
     centroid = 1.29 1.52 1.41   # optional; recomputed and checked on load
 
-End-point spec files use the same framing with ``endpoints v1`` and per-word
-``left = lo hi`` / ``right = lo hi`` lines.
+An end-point file has the magic line ``endpoints v1``, an optional ``scale``
+and per-word ``left = lo hi`` / ``right = lo hi`` lines.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Collection, Optional, Sequence, Union
 
 import numpy as np
 
@@ -54,10 +57,6 @@ class CodebookError(LingoptError, ValueError):
 
 class EndpointSpecError(LingoptError, ValueError):
     """An end-point interval specification is unusable."""
-
-
-class EncoderError(LingoptError):
-    """No usable interval-data encoder is registered."""
 
 
 @dataclass(frozen=True)
@@ -118,18 +117,11 @@ class Codebook:
     def names(self) -> tuple[str, ...]:
         return tuple(w.name for w in self.words)
 
-    def _position(self, name: str) -> int:
+    def word(self, name: str) -> IT2Word:
         try:
-            return self._positions[name]
+            return self.words[self._positions[name]]
         except KeyError:
             raise _unknown_word(name, self.names) from None
-
-    def word(self, name: str) -> IT2Word:
-        return self.words[self._position(name)]
-
-    def index(self, name: str) -> int:
-        """1-based position of the word in the vocabulary order."""
-        return self._position(name) + 1
 
     def discretization(self, points: int = 1001) -> Discretization:
         return Discretization(points=points, scale=self.scale)
@@ -223,35 +215,6 @@ def sample_person_fou(spec: EndpointSpec, n: int = 50, seed: int = 0) -> DataInt
 
 
 # ---------------------------------------------------------------------------
-# Encoders (pluggable; fixtures are the supported path)
-
-Encoder = Callable[[DataIntervalSet, Interval], IT2Word]
-
-_ENCODERS: dict[str, Encoder] = {}
-
-
-def register_encoder(name: str, fn: Encoder) -> None:
-    _ENCODERS[name] = fn
-
-
-def encode_word(
-    data: DataIntervalSet,
-    encoder: str = "fixture-passthrough",
-    scale: Interval = Interval(0.0, 10.0),
-) -> IT2Word:
-    """Turn sampled data intervals into a word model via a registered encoder."""
-    if encoder == "fixture-passthrough" and encoder not in _ENCODERS:
-        raise EncoderError(
-            "no interval-to-FOU encoder is bundled: the HMA/EIA/IA data-processing "
-            "algorithms are external. Load a fixture codebook ('paper-hma', "
-            "'paper-ia') or register_encoder() an implementation."
-        )
-    if encoder not in _ENCODERS:
-        raise EncoderError(f"encoder {encoder!r} is not registered")
-    return _ENCODERS[encoder](data, scale)
-
-
-# ---------------------------------------------------------------------------
 # Embedded fixtures: the two student-performance codebooks and the
 # end-point intervals they were elicited from.
 
@@ -273,14 +236,6 @@ _IA_ROWS = [
     ("G", (2.87, 9.06, 10.0, 10.0), (4.1, 9.58, 10.0, 10.0), 1.00, (7.53, 8.04, 7.79)),
     ("VG", (6.13, 9.73, 10.0, 10.0), (7.34, 9.81, 10.0, 10.0), 1.00, (8.67, 9.11, 8.89)),
 ]
-
-WORD_LONG_NAMES = {
-    "VP": "Very Poor",
-    "P": "Poor",
-    "A": "Average",
-    "G": "Good",
-    "VG": "Very Good",
-}
 
 # end-point intervals used to rate student performance: (left lo hi, right lo hi)
 STUDENT_ENDPOINTS = [
@@ -369,91 +324,95 @@ def clean_lines(text: str) -> list[str]:
     return out
 
 
-def _parse_kv(line: str) -> tuple[str, str]:
-    if "=" not in line:
-        raise CodebookError(f"expected 'key = value', got {line!r}")
-    key, value = line.split("=", 1)
-    return key.strip(), value.strip()
+def _read_records(
+    text: str,
+    magic: str,
+    header_keys: Collection[str],
+    word_keys: Collection[str],
+    error: type[LingoptError],
+) -> tuple[dict[str, str], list[tuple[str, dict[str, str]]]]:
+    """The header and the (name, fields) word records of a codebook or
+    end-point file, in file order.  A wrong magic line, a malformed line, or
+    a key that is not known or is given twice in one section raises ``error``."""
+    lines = clean_lines(text)
+    if not lines or lines[0] != magic:
+        raise error(f"{magic.split()[0]} file must start with {magic!r}")
+    header: dict[str, str] = {}
+    records: list[tuple[str, dict[str, str]]] = []
+    fields, known, where = header, header_keys, "header"
+    for line in lines[1:]:
+        if line.startswith("word "):
+            name = line[5:].strip()
+            if not name or any(ch.isspace() for ch in name):
+                raise error(f"word names must be single tokens, got {name!r}")
+            fields, known, where = {}, word_keys, f"word {name!r}"
+            records.append((name, fields))
+            continue
+        if "=" not in line:
+            raise error(f"expected 'key = value', got {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in known:
+            raise error(f"{where}: unknown key {key!r}")
+        if key in fields:
+            raise error(f"{where}: key {key!r} given twice")
+        fields[key] = value
+    return header, records
 
 
-def _floats(value: str, n: int, where: str) -> list[float]:
+def _floats(value: str, n: int, where: str, error: type[LingoptError]) -> list[float]:
     parts = value.split()
     if len(parts) != n:
-        raise CodebookError(f"{where}: expected {n} numbers, got {value!r}")
+        raise error(f"{where}: expected {n} numbers, got {value!r}")
     try:
         values = [float(p) for p in parts]
     except ValueError as e:
-        raise CodebookError(f"{where}: {e}") from e
+        raise error(f"{where}: {e}") from e
     for p, v in zip(parts, values):
         if not math.isfinite(v):
-            raise CodebookError(f"{where}: {p!r} is not a finite number")
+            raise error(f"{where}: {p!r} is not a finite number")
     return values
 
 
-def parse_codebook(text: str) -> Codebook:
-    lines = clean_lines(text)
-    if not lines or lines[0] != "codebook v1":
-        raise CodebookError("codebook file must start with 'codebook v1'")
-    scale = _SCALE
-    encoder_tag = "external"
-    generator = None
-    seed = None
-    words: list[IT2Word] = []
-    record: Optional[dict] = None
+def _interval(value: str, where: str, error: type[LingoptError]) -> Interval:
+    lo, hi = _floats(value, 2, where, error)
+    if lo > hi:
+        raise error(f"{where}: interval {value!r} has lo > hi")
+    return Interval(lo, hi)
 
-    def flush():
-        nonlocal record
-        if record is None:
-            return
-        name = record["name"]
-        if "umf" not in record or "lmf" not in record:
-            raise CodebookError(f"word {name!r}: missing umf or lmf line")
-        umf = _floats(record["umf"], 4, f"word {name!r} umf")
-        n_lmf = 5 if len(record["lmf"].split()) == 5 else 4
-        lmf_vals = _floats(record["lmf"], n_lmf, f"word {name!r} lmf")
-        h = lmf_vals[4] if len(lmf_vals) == 5 else 1.0
+
+def _parse_word(name: str, fields: dict[str, str]) -> IT2Word:
+    if "umf" not in fields or "lmf" not in fields:
+        raise CodebookError(f"word {name!r}: missing umf or lmf line")
+    umf = _floats(fields["umf"], 4, f"word {name!r} umf", CodebookError)
+    n_lmf = 5 if len(fields["lmf"].split()) == 5 else 4
+    lmf = _floats(fields["lmf"], n_lmf, f"word {name!r} lmf", CodebookError)
+    h = lmf[4] if n_lmf == 5 else 1.0
+    try:
         centroid = None
-        if "centroid" in record:
-            cl, cr, _mean = _floats(record["centroid"], 3, f"word {name!r} centroid")
+        if "centroid" in fields:
+            cl, cr, _mean = _floats(fields["centroid"], 3, f"word {name!r} centroid", CodebookError)
             centroid = Centroid(cl, cr)
-        try:
-            words.append(
-                IT2Word(name, Trapezoid(*umf, h=1.0), Trapezoid(*lmf_vals[:4], h=h), centroid)
-            )
-        except DomainError as e:
-            raise CodebookError(f"word {name!r}: {e}") from e
-        record = None
+        return IT2Word(name, Trapezoid(*umf, h=1.0), Trapezoid(*lmf[:4], h=h), centroid)
+    except DomainError as e:
+        raise CodebookError(f"word {name!r}: {e}") from e
 
-    for line in lines[1:]:
-        if line.startswith("word "):
-            flush()
-            name = line[5:].strip()
-            if not name or any(ch.isspace() for ch in name):
-                raise CodebookError(f"word names must be single tokens, got {name!r}")
-            record = {"name": name}
-        elif record is not None:
-            key, value = _parse_kv(line)
-            record[key] = value
-        else:
-            key, value = _parse_kv(line)
-            if key == "scale":
-                lo, hi = _floats(value, 2, "scale")
-                scale = Interval(lo, hi)
-            elif key == "encoder":
-                encoder_tag = value
-            elif key == "generator":
-                generator = value
-            elif key == "seed":
-                try:
-                    seed = int(value)
-                except ValueError:
-                    raise CodebookError(f"seed must be an integer, got {value!r}") from None
-            else:
-                raise CodebookError(f"unknown header key {key!r}")
-    flush()
+
+def parse_codebook(text: str) -> Codebook:
+    header, records = _read_records(
+        text, "codebook v1", ("scale", "encoder", "generator", "seed"), ("umf", "lmf", "centroid"),
+        CodebookError,
+    )
+    scale = _interval(header["scale"], "scale", CodebookError) if "scale" in header else _SCALE
+    seed = header.get("seed")
+    if seed is not None:
+        try:
+            seed = int(seed)
+        except ValueError:
+            raise CodebookError(f"seed must be an integer, got {seed!r}") from None
+    words = tuple(_parse_word(name, fields) for name, fields in records)
     if not words:
         raise CodebookError("codebook file has no words")
-    return _finish_load(Codebook(scale, tuple(words), encoder_tag, generator, seed))
+    return _finish_load(Codebook(scale, words, header.get("encoder", "external"), header.get("generator"), seed))
 
 
 def format_codebook(cb: Codebook) -> str:
@@ -479,44 +438,20 @@ def save_codebook(cb: Codebook, path: Union[str, Path]) -> None:
 
 
 def parse_endpoint_specs(text: str) -> list[EndpointSpec]:
-    lines = clean_lines(text)
-    if not lines or lines[0] != "endpoints v1":
-        raise EndpointSpecError("end-point file must start with 'endpoints v1'")
-    scale = _SCALE
+    header, records = _read_records(text, "endpoints v1", ("scale",), ("left", "right"), EndpointSpecError)
+    scale = _interval(header["scale"], "scale", EndpointSpecError) if "scale" in header else _SCALE
     specs: list[EndpointSpec] = []
-    record: Optional[dict] = None
-
-    def flush():
-        nonlocal record
-        if record is None:
-            return
-        name = record["name"]
-        if "left" not in record or "right" not in record:
+    for name, fields in records:
+        if "left" not in fields or "right" not in fields:
             raise EndpointSpecError(f"word {name!r}: missing left or right interval")
-        l_lo, l_hi = _floats(record["left"], 2, f"word {name!r} left")
-        r_lo, r_hi = _floats(record["right"], 2, f"word {name!r} right")
-        for bound in (l_lo, l_hi, r_lo, r_hi):
+        left = _interval(fields["left"], f"word {name!r} left", EndpointSpecError)
+        right = _interval(fields["right"], f"word {name!r} right", EndpointSpecError)
+        for bound in (left.lo, left.hi, right.lo, right.hi):
             if bound < scale.lo - 1e-9 or bound > scale.hi + 1e-9:
                 raise EndpointSpecError(
                     f"word {name!r}: bound {bound} outside scale [{scale.lo}, {scale.hi}]"
                 )
-        specs.append(EndpointSpec(name, Interval(l_lo, l_hi), Interval(r_lo, r_hi)))
-        record = None
-
-    for line in lines[1:]:
-        if line.startswith("word "):
-            flush()
-            record = {"name": line[5:].strip()}
-        elif record is not None:
-            key, value = _parse_kv(line)
-            record[key] = value
-        else:
-            key, value = _parse_kv(line)
-            if key != "scale":
-                raise EndpointSpecError(f"unknown header key {key!r}")
-            lo, hi = _floats(value, 2, "scale")
-            scale = Interval(lo, hi)
-    flush()
+        specs.append(EndpointSpec(name, left, right))
     if not specs:
         raise EndpointSpecError("end-point file has no words")
     return specs

@@ -1,4 +1,4 @@
-"""Interval type-2 fuzzy set primitives: trapezoids, alpha-cuts, FOU shapes.
+"""Interval type-2 fuzzy set primitives: intervals, trapezoids, alpha-cuts.
 
 Every engine in the package is built on the same three value types: a plain
 ``Interval``, a ``Trapezoid`` membership function with an explicit height,
@@ -9,7 +9,6 @@ immutable; every operation here is a pure function.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -17,7 +16,7 @@ import numpy as np
 if TYPE_CHECKING:
     from .similarity import Centroid
 
-#: comparison tolerance used when classifying shapes against scale endpoints
+#: comparison tolerance for vertex, height and scale-end checks
 TOL = 1e-9
 
 
@@ -48,13 +47,6 @@ class Interval:
     def width(self) -> float:
         return self.hi - self.lo
 
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
-    def contains(self, x: float, tol: float = TOL) -> bool:
-        return self.lo - tol <= x <= self.hi + tol
-
 
 @dataclass(frozen=True)
 class Trapezoid:
@@ -78,10 +70,6 @@ class Trapezoid:
             )
         if not 0.0 < self.h <= 1.0:
             raise DomainError(f"trapezoid height must be in (0, 1], got {self.h}")
-
-    @property
-    def support(self) -> Interval:
-        return Interval(self.a, self.d)
 
     @property
     def vertices(self) -> tuple[float, float, float, float]:
@@ -109,9 +97,6 @@ class Trapezoid:
             out[fall] = self.h * (self.d - xs[fall]) / (self.d - self.c)
         return out
 
-    def translate(self, offset: float) -> "Trapezoid":
-        return Trapezoid(self.a + offset, self.b + offset, self.c + offset, self.d + offset, self.h)
-
 
 def alpha_cut(t: Trapezoid, alpha: float) -> Interval:
     """Horizontal cut of ``t`` at level ``alpha``.
@@ -125,12 +110,6 @@ def alpha_cut(t: Trapezoid, alpha: float) -> Interval:
     alpha = min(alpha, t.h)
     frac = alpha / t.h
     return Interval(min(t.a + frac * (t.b - t.a), t.b), max(t.d - frac * (t.d - t.c), t.c))
-
-
-class FouShape(Enum):
-    INTERIOR = "interior"
-    LEFT_SHOULDER = "left-shoulder"
-    RIGHT_SHOULDER = "right-shoulder"
 
 
 @dataclass(frozen=True)
@@ -169,18 +148,3 @@ class IT2Word:
                     f"word {self.name!r}: lmf membership {lo:.6f} exceeds umf {hi:.6f} at x={x}"
                 )
 
-
-def classify_fou(w: IT2Word, scale: Interval) -> FouShape:
-    """Classify the word's FOU as interior, left shoulder or right shoulder.
-
-    A shoulder has both trapezoids flat against the corresponding scale end
-    and a lower membership function of full height.
-    """
-    full_height = abs(w.lmf.h - 1.0) <= TOL
-    left = all(abs(v - scale.lo) <= TOL for v in (w.umf.a, w.umf.b, w.lmf.a, w.lmf.b))
-    if left and full_height:
-        return FouShape.LEFT_SHOULDER
-    right = all(abs(v - scale.hi) <= TOL for v in (w.umf.c, w.umf.d, w.lmf.c, w.lmf.d))
-    if right and full_height:
-        return FouShape.RIGHT_SHOULDER
-    return FouShape.INTERIOR

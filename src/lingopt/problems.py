@@ -66,6 +66,10 @@ class ProblemBundle:
         names = [o.name for o in self.objectives]
         if len(set(names)) != len(names):
             raise ProblemError(f"duplicate objective names: {names}")
+        if not self.ranking:
+            raise ProblemError("ranking needs at least one objective")
+        if len(set(self.ranking)) != len(self.ranking):
+            raise ProblemError(f"ranking lists an objective twice: {list(self.ranking)}")
         for r in self.ranking:
             if r not in names:
                 raise ProblemError(f"ranking references unknown objective {r!r}")
@@ -85,33 +89,18 @@ class ProblemBundle:
                     f"alternative {alt.label!r}: input length does not match antecedents"
                 )
 
-    def objective(self, name: str) -> Objective:
-        for o in self.objectives:
-            if o.name == name:
-                return o
-        raise ProblemError(f"unknown objective {name!r}")
-
-    def objective_index(self, name: str) -> int:
-        for i, o in enumerate(self.objectives):
-            if o.name == name:
-                return i
-        raise ProblemError(f"unknown objective {name!r}")
-
 
 # ---------------------------------------------------------------------------
 # Solving a bundle with each engine
 
 
 def _rank(bundle: ProblemBundle, scores: dict[str, list[float]]) -> list[str]:
-    """Rank alternatives on the first ranking objective's score, with the
-    second ranking objective (if any) breaking ties."""
-    primary = bundle.objective_index(bundle.ranking[0])
-    tiebreak = bundle.objective_index(bundle.ranking[1]) if len(bundle.ranking) > 1 else None
-    items = [
-        (alt.label, scores[alt.label][primary], None if tiebreak is None else scores[alt.label][tiebreak])
-        for alt in bundle.alternatives
-    ]
-    return rank_by_centroid(items, direction=bundle.objectives[primary].direction)
+    """Rank alternatives on every ranking objective in priority order, each
+    in its own direction."""
+    names = [o.name for o in bundle.objectives]
+    ks = [names.index(r) for r in bundle.ranking]
+    items = [(alt.label, [scores[alt.label][k] for k in ks]) for alt in bundle.alternatives]
+    return rank_by_centroid(items, [bundle.objectives[k].direction for k in ks])
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,16 +207,6 @@ MOLOP_CONSEQUENTS = {
 
 STUDENTS = ("SS1", "SS2", "SS3", "SS4")
 
-# overall performances from the printed 2-tuple comparison table; the stated
-# aggregation reproduces the SS1 and SS4 rows but not SS2/SS3 electives,
-# so the table is kept as a data fixture for the ranking
-TWO_TUPLE_MOLOP_TABLE = {
-    "SS1": ((2, 0.0), (3, 0.0)),
-    "SS2": ((4, 0.0), (4, 0.33)),
-    "SS3": ((3, 0.0), (3, 0.33)),
-    "SS4": ((3, 0.0), (3, 0.0)),
-}
-
 
 def case_solop() -> ProblemBundle:
     """Rank the students on core-subject performance in the mid-semester test."""
@@ -281,8 +260,6 @@ def sm_toy() -> ProblemBundle:
 
 
 _FIXTURES = {"case-solop": case_solop, "case-molop": case_molop, "sm-toy": sm_toy}
-
-PROBLEM_IDS = tuple(_FIXTURES)
 
 
 def load_problem(source: Union[str, Path]) -> ProblemBundle:

@@ -154,24 +154,11 @@ def fire(rule: Rule, inputs: Sequence[str], cb: Codebook, d: Optional[Discretiza
     return fire_rules([rule], inputs, cb.sampled(d))[0]
 
 
-def decode(
-    fou: IT2Word,
-    cb: Codebook,
-    d: Optional[Discretization] = None,
-    method: str = "jaccard",
-) -> str:
-    """Name of the codebook word the FOU resembles most.
-
-    ``jaccard`` picks the highest-similarity word; ``centroid`` the word with
-    the nearest centroid mean.  Exact ties go to the later (larger-centroid)
-    vocabulary word in both modes.
-    """
-    if method == "jaccard":
-        scb = cb.sampled(d)
-        return _decode_jaccard(sample_word(fou, scb.d), scb)
-    if method == "centroid":
-        return _decode_mean(_centroid(sample_word(fou, d or cb.discretization())).mean, cb)
-    raise DomainError(f"unknown decode method {method!r}")
+def decode(fou: IT2Word, cb: Codebook, d: Optional[Discretization] = None) -> str:
+    """Name of the codebook word the FOU is most Jaccard-similar to.  Exact
+    ties go to the later (larger-centroid) vocabulary word."""
+    scb = cb.sampled(d)
+    return _decode_jaccard(sample_word(fou, scb.d), scb)
 
 
 def _best(names: Sequence[str], scores: Sequence[float]) -> str:

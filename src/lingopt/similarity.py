@@ -1,4 +1,4 @@
-"""Jaccard similarity, centroid type-reduction (EKM + exhaustive oracle), ranking.
+"""Jaccard similarity, centroid type-reduction (enhanced Karnik-Mendel), ranking.
 
 All the numeric work happens on a shared uniform grid described by a
 ``Discretization``.  The Jaccard measure used throughout is the standard
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -145,35 +145,6 @@ def _prepare_samples(xs: np.ndarray, lower: np.ndarray, upper: np.ndarray):
     return xs[mass], lower[mass], upper[mass]
 
 
-def centroid_brute_from_samples(xs: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> Centroid:
-    """Exhaustive switch-point enumeration of the centroid endpoints.
-
-    The extreme values of sum(x*w)/sum(w) over w in [lower, upper] are
-    attained by single-switch assignments; this evaluates every switch
-    position directly and is the oracle the iterative routine is checked
-    against.
-    """
-    xs, lo, hi = _prepare_samples(xs, lower, upper)
-    n = xs.size
-    # prefix[k] = sum over the first k points
-    pref_x_hi = np.concatenate([[0.0], np.cumsum(xs * hi)])
-    pref_hi = np.concatenate([[0.0], np.cumsum(hi)])
-    pref_x_lo = np.concatenate([[0.0], np.cumsum(xs * lo)])
-    pref_lo = np.concatenate([[0.0], np.cumsum(lo)])
-
-    # left endpoint: upper weights below the switch, lower above
-    num_l = pref_x_hi + (pref_x_lo[n] - pref_x_lo)
-    den_l = pref_hi + (pref_lo[n] - pref_lo)
-    # right endpoint: lower weights below the switch, upper above
-    num_r = pref_x_lo + (pref_x_hi[n] - pref_x_hi)
-    den_r = pref_lo + (pref_hi[n] - pref_hi)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios_l = np.where(den_l > 0, num_l / den_l, np.inf)
-        ratios_r = np.where(den_r > 0, num_r / den_r, -np.inf)
-    return Centroid(float(ratios_l.min()), float(ratios_r.max()))
-
-
 def _ekm_endpoint(xs: np.ndarray, lower: np.ndarray, upper: np.ndarray, right: bool) -> float:
     """One enhanced Karnik-Mendel iteration (left or right endpoint)."""
     n = xs.size
@@ -223,41 +194,43 @@ def centroid_ekm(w: IT2Word, d: Discretization = DEFAULT_GRID) -> Centroid:
     return centroid_ekm_from_samples(xs, w.lmf.membership_grid(xs), w.umf.membership_grid(xs))
 
 
-def centroid_brute(w: IT2Word, d: Discretization = DEFAULT_GRID) -> Centroid:
-    xs = d.grid()
-    return centroid_brute_from_samples(xs, w.lmf.membership_grid(xs), w.umf.membership_grid(xs))
-
-
 # ---------------------------------------------------------------------------
 # Ranking
 
 
 def rank_by_centroid(
-    items: Sequence[tuple[str, float, Optional[float]]],
-    direction: str = "max",
+    items: Sequence[tuple[str, Sequence[float]]],
+    directions: Sequence[str],
     tol: float = 1e-9,
 ) -> list[str]:
-    """Order labels by their primary score, breaking exact ties on the
-    tiebreak score.  Remaining ties keep input order.
+    """Order labels by their scores, one score per ranking objective.
 
     A score is a centroid mean for perceptual reasoning and a beta for the
-    2-tuple baseline.  ``direction`` is "max" (best = largest score, the
-    default) or "min".
+    2-tuple baseline; ``directions`` holds "max" (best = largest score) or
+    "min" for each objective.  Labels are sorted on the first objective;
+    scores within ``tol`` of a group's first member form one group, and each
+    group is sorted the same way on the next objective.  The tolerance only
+    decides which labels the next objective may reorder, so two labels keep
+    their input order only when all their scores are equal, and the grouping
+    is the same for every input order.
     """
     if not items:
         raise DomainError("rank_by_centroid needs at least one item")
-    if direction not in ("max", "min"):
-        raise DomainError(f"direction must be 'max' or 'min', got {direction!r}")
-    sign = 1.0 if direction == "max" else -1.0
-
-    def better(i: int, j: int) -> int:
-        pi, pj = sign * items[i][1], sign * items[j][1]
-        if abs(pi - pj) > tol:
-            return -1 if pi > pj else 1
-        ti, tj = items[i][2], items[j][2]
-        if ti is not None and tj is not None and abs(ti - tj) > tol:
-            return -1 if sign * ti > sign * tj else 1
-        return -1 if i < j else 1  # stable
-
-    order = sorted(range(len(items)), key=functools.cmp_to_key(better))
-    return [items[i][0] for i in order]
+    for direction in directions:
+        if direction not in ("max", "min"):
+            raise DomainError(f"direction must be 'max' or 'min', got {direction!r}")
+    if not directions or any(len(scores) != len(directions) for _, scores in items):
+        raise DomainError("rank_by_centroid needs one score per direction for every item")
+    groups = [list(range(len(items)))]  # item positions, best group first
+    for k, direction in enumerate(directions):
+        sign = 1.0 if direction == "max" else -1.0
+        split = []
+        for group in groups:
+            group = sorted(group, key=lambda i: -sign * items[i][1][k])
+            first = 0
+            for j in range(1, len(group) + 1):
+                if j == len(group) or abs(items[group[j]][1][k] - items[group[first]][1][k]) > tol:
+                    split.append(group[first:j])
+                    first = j
+        groups = split
+    return [items[i][0] for group in groups for i in group]

@@ -61,9 +61,6 @@ class TwoTuple:
     def beta(self) -> float:
         return self.index + self.alpha
 
-    def render(self, ts: OrdinalTermSet) -> str:
-        return f"({ts.label(self.index)}, {self.alpha:g})"
-
 
 def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
@@ -115,15 +112,6 @@ def molop_solve(
         beta = sum(f * rule[1][k] for f, rule in zip(firings, rules)) / total
         out.append(to_two_tuple(beta, ts))
     return out
-
-
-def compare(a: TwoTuple, b: TwoTuple) -> int:
-    """-1, 0 or 1 as a's beta is below, equal to or above b's."""
-    if a.beta < b.beta:
-        return -1
-    if a.beta > b.beta:
-        return 1
-    return 0
 
 
 # ---------------------------------------------------------------------------

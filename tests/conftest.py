@@ -1,10 +1,12 @@
 import math
+from enum import Enum
 
 import numpy as np
 import pytest
 
 from lingopt.codebook import load_codebook
-from lingopt.fuzzy import IT2Word, Trapezoid, alpha_cut
+from lingopt.fuzzy import Interval, IT2Word, Trapezoid, alpha_cut
+from lingopt.similarity import Centroid
 
 
 @pytest.fixture(scope="session")
@@ -36,6 +38,58 @@ def random_word(rng: np.random.Generator, lo=0.0, hi=10.0) -> IT2Word:
     w = IT2Word("w", Trapezoid(a, b, c, d, 1.0), lmf)
     w.validate()
     return w
+
+
+def translate(t: Trapezoid, offset: float) -> Trapezoid:
+    return Trapezoid(t.a + offset, t.b + offset, t.c + offset, t.d + offset, t.h)
+
+
+class FouShape(Enum):
+    INTERIOR = "interior"
+    LEFT_SHOULDER = "left-shoulder"
+    RIGHT_SHOULDER = "right-shoulder"
+
+
+def classify_fou(w: IT2Word, scale: Interval, tol: float = 1e-9) -> FouShape:
+    """Shape oracle: a shoulder has both trapezoids flat against the
+    corresponding scale end and a lower membership function of full height."""
+    full_height = abs(w.lmf.h - 1.0) <= tol
+    left = all(abs(v - scale.lo) <= tol for v in (w.umf.a, w.umf.b, w.lmf.a, w.lmf.b))
+    if left and full_height:
+        return FouShape.LEFT_SHOULDER
+    right = all(abs(v - scale.hi) <= tol for v in (w.umf.c, w.umf.d, w.lmf.c, w.lmf.d))
+    if right and full_height:
+        return FouShape.RIGHT_SHOULDER
+    return FouShape.INTERIOR
+
+
+def centroid_brute(w: IT2Word, d) -> Centroid:
+    """Centroid oracle: exhaustive switch-point enumeration on ``d.grid()``.
+
+    The extreme values of sum(x*w)/sum(w) over w in [lower, upper] are
+    attained by single-switch assignments; this evaluates every switch
+    position directly.  Zero-mass grid points are dropped first.
+    """
+    xs = d.grid()
+    lo, hi = w.lmf.membership_grid(xs), w.umf.membership_grid(xs)
+    keep = hi > 0.0
+    xs, lo, hi = xs[keep], lo[keep], hi[keep]
+    n = xs.size
+    # prefix[k] = sum over the first k points
+    pref_x_hi = np.concatenate([[0.0], np.cumsum(xs * hi)])
+    pref_hi = np.concatenate([[0.0], np.cumsum(hi)])
+    pref_x_lo = np.concatenate([[0.0], np.cumsum(xs * lo)])
+    pref_lo = np.concatenate([[0.0], np.cumsum(lo)])
+    # left endpoint: upper weights below the switch, lower above
+    num_l = pref_x_hi + (pref_x_lo[n] - pref_x_lo)
+    den_l = pref_hi + (pref_lo[n] - pref_lo)
+    # right endpoint: lower weights below the switch, upper above
+    num_r = pref_x_lo + (pref_x_hi[n] - pref_x_hi)
+    den_r = pref_lo + (pref_hi[n] - pref_hi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios_l = np.where(den_l > 0, num_l / den_l, np.inf)
+        ratios_r = np.where(den_r > 0, num_r / den_r, -np.inf)
+    return Centroid(float(ratios_l.min()), float(ratios_r.max()))
 
 
 def assert_alpha_cuts_are_weighted_averages(out: IT2Word, words, firings, levels=101, tol=1e-12):

@@ -9,12 +9,12 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_trapezoid, random_word
+from conftest import centroid_brute, random_trapezoid, random_word
 from lingopt.codebook import load_codebook
 from lingopt.fuzzy import DomainError, Interval, alpha_cut
 from lingopt.problems import case_molop, case_solop, sm_toy, solve_pr_bundle, solve_two_tuple_bundle
 from lingopt.reasoning import Rule, fire, lwa, synthesize_consequent
-from lingopt.similarity import Discretization, centroid_brute, centroid_ekm, jaccard, rank_by_centroid
+from lingopt.similarity import Discretization, centroid_ekm, jaccard, rank_by_centroid
 from lingopt.tsukamoto import crisp_output, fixture, optimize
 from lingopt.twotuple import OrdinalTermSet, TwoTuple, to_two_tuple
 
@@ -231,7 +231,7 @@ def test_criterion_08_two_tuple_molop():
         "SS4": (TwoTuple(3, 0.0), TwoTuple(3, 0.0)),
     }
     ranking = rank_by_centroid(
-        [(label, row[1].beta, row[0].beta) for label, row in table.items()]
+        [(label, (row[1].beta, row[0].beta)) for label, row in table.items()], ["max", "max"]
     )
     if ranking != ["SS2", "SS3", "SS4", "SS1"]:
         failures.append(f"fixture-table ranking {ranking}")

@@ -1,6 +1,8 @@
 """Keeps the benchmark harness runnable: short runs of each workload.  The
 case-study run compares every report against tests/golden; each synthetic
-run checks its query outputs against one whole-bundle solve."""
+run checks its query outputs against one whole-bundle solve.  The traced
+runs go through the tracer's wrappers, so a change that breaks the traced
+harness fails here too."""
 
 import json
 import subprocess
@@ -12,9 +14,10 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_clean(workload: str):
+def run_clean(workload: str, trace: str = "0"):
     out = subprocess.run(
-        [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", "1", "--seconds", "0.3"],
+        [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", "1", "--seconds", "0.3",
+         "--trace", trace],
         cwd=ROOT,
         capture_output=True,
         text=True,
@@ -33,3 +36,8 @@ def test_case_study_runs_clean():
 @pytest.mark.parametrize("workload", ["pr-scale", "synth-fine"])
 def test_synthetic_workload_runs_clean(workload):
     run_clean(workload)
+
+
+@pytest.mark.parametrize("workload", ["case-study", "pr-scale", "synth-fine"])
+def test_traced_workload_runs_clean(workload):
+    run_clean(workload, trace="1")

@@ -264,6 +264,99 @@ class TestExitCodes:
         assert code == 3
         self.assert_one_line(err, "data")
 
+    ENDPOINTS = "endpoints v1\nscale = 0 10\nword VP\nleft = 0 0\nright = 2 3\n"
+
+    @classmethod
+    def edited_input(cls, tmp_path, kind: str, old: str, new: str) -> list[str]:
+        """argv that reads an end-point file or the paper-hma codebook file
+        with the first ``old`` replaced by ``new``."""
+        text = cls.ENDPOINTS if kind == "endpoints" else format_codebook(load_codebook("paper-hma"))
+        assert old in text
+        path = tmp_path / f"{kind}.txt"
+        path.write_text(text.replace(old, new, 1))
+        if kind == "endpoints":
+            return ["sample", "--spec", str(path), "--out", "-"]
+        return ["solve", "pr", "--problem", "case-solop", "--codebook", str(path)]
+
+    @pytest.mark.parametrize(
+        "kind,old,new",
+        [
+            ("endpoints", "left = 0 0", "left = 3 1"),
+            ("endpoints", "scale = 0 10", "scale = 5 1"),
+            ("codebook", "scale = 0 10", "scale = 10 0"),
+            ("codebook", "centroid = 1.29 1.52", "centroid = 1.52 1.29"),
+        ],
+        ids=["endpoints-left", "endpoints-scale", "codebook-scale", "codebook-centroid"],
+    )
+    def test_data_error_reversed_interval(self, capsys, tmp_path, kind, old, new):
+        code, out, err = run_cli(capsys, *self.edited_input(tmp_path, kind, old, new))
+        assert code == 3
+        assert out == ""
+        self.assert_one_line(err, "data")
+        assert new.split(" = ")[0] in err  # names the field
+
+    @pytest.mark.parametrize(
+        "kind,old,new",
+        [
+            ("codebook", "centroid = 1.29", "centroidd = 9 9 9\ncentroid = 1.29"),  # unknown in a word
+            ("codebook", "umf = 0.0 0.0 2.04", "umf = 0 0 2 3\numf = 0.0 0.0 2.04"),  # repeated in a word
+            ("codebook", "encoder = HMA", "encoder = HMA\nencoder = IA"),  # repeated in the header
+            ("endpoints", "right = 2 3", "right = 2 3\nmiddle = 1 2"),  # unknown in a word
+            ("endpoints", "left = 0 0", "left = 0 0\nleft = 0 1"),  # repeated in a word
+        ],
+        ids=["codebook-unknown", "codebook-repeated", "codebook-header-repeated",
+             "endpoints-unknown", "endpoints-repeated"],
+    )
+    def test_data_error_unknown_or_repeated_key(self, capsys, tmp_path, kind, old, new):
+        code, out, err = run_cli(capsys, *self.edited_input(tmp_path, kind, old, new))
+        assert code == 3
+        assert out == ""
+        self.assert_one_line(err, "data")
+
+    @staticmethod
+    def ranking_problem(tmp_path, objectives, ranking, x_consequents, y_consequents) -> str:
+        """Two alternatives fired at 1 by the same input; only their
+        consequents differ, so each objective's scores tie exactly or not."""
+        path = tmp_path / "ranking.txt"
+        path.write_text(
+            "problem v1\nterms = VP P A G VG\n"
+            + "".join(f"objective = {o}\n" for o in objectives)
+            + f"ranking = {ranking}\n"
+            f"rule rx | A A | {x_consequents}\n"
+            f"rule ry | A A | {y_consequents}\n"
+            "alternative x | rules = rx | input = A A\n"
+            "alternative y | rules = ry | input = A A\n"
+        )
+        return str(path)
+
+    @pytest.mark.parametrize("engine", ["pr", "two-tuple"])
+    def test_ranking_uses_every_ranking_objective(self, capsys, tmp_path, engine):
+        # tied on f1 and f2; the third ranking objective decides
+        problem = self.ranking_problem(
+            tmp_path, ["f1 max", "f2 max", "f3 max"], "f1 f2 f3", "A A P", "A A G"
+        )
+        code, out, err = run_cli(capsys, "solve", engine, "--problem", problem)
+        assert code == 0
+        assert err == ""
+        assert out.splitlines()[-1] == "ranking = y > x"
+
+    @pytest.mark.parametrize("engine", ["pr", "two-tuple"])
+    def test_ranking_tie_break_keeps_its_own_direction(self, capsys, tmp_path, engine):
+        # tied on f1; f2 is minimised, so the smaller f2 ranks first
+        problem = self.ranking_problem(tmp_path, ["f1 max", "f2 min"], "f1 f2", "A G", "A P")
+        code, out, err = run_cli(capsys, "solve", engine, "--problem", problem)
+        assert code == 0
+        assert err == ""
+        assert out.splitlines()[-1] == "ranking = y > x"
+
+    @pytest.mark.parametrize("ranking", ["f1 f1", ""], ids=["duplicate", "empty"])
+    def test_data_error_bad_ranking_line(self, capsys, tmp_path, ranking):
+        problem = self.ranking_problem(tmp_path, ["f1 max", "f2 max"], ranking, "A G", "A P")
+        code, out, err = run_cli(capsys, "solve", "pr", "--problem", problem)
+        assert code == 3
+        assert out == ""
+        self.assert_one_line(err, "data")
+
     def test_data_error_export_fou_out_is_directory(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "export-fou", "--codebook", "paper-hma", "--out", str(tmp_path))
         assert code == 3

@@ -10,7 +10,6 @@ from lingopt.codebook import (
     Codebook,
     CodebookError,
     DataIntervalSet,
-    EncoderError,
     EndpointSpec,
     EndpointSpecError,
     FIXTURE_IDS,
@@ -19,10 +18,8 @@ from lingopt.codebook import (
     load_codebook,
     parse_codebook,
     parse_endpoint_specs,
-    register_encoder,
     sample_person_fou,
     save_codebook,
-    encode_word,
 )
 from lingopt.fuzzy import Interval, IT2Word, Trapezoid
 from lingopt.reasoning import Rule, fire_rules
@@ -74,7 +71,6 @@ class TestFixtures:
 
     def test_word_lookup(self, hma):
         assert hma.word("A").name == "A"
-        assert hma.index("VG") == 5
         with pytest.raises(CodebookError):
             hma.word("XX")
 
@@ -153,43 +149,6 @@ class TestSampling:
     def test_bad_sample_size(self):
         with pytest.raises(Exception):
             sample_person_fou(STUDENT_ENDPOINTS[0], n=0, seed=1)
-
-
-class TestEncoders:
-    def test_passthrough_refuses(self):
-        ds = sample_person_fou(STUDENT_ENDPOINTS[1], n=10, seed=7)
-        with pytest.raises(EncoderError, match="fixture"):
-            encode_word(ds)
-
-    def test_unregistered_encoder(self):
-        ds = sample_person_fou(STUDENT_ENDPOINTS[1], n=10, seed=7)
-        with pytest.raises(EncoderError):
-            encode_word(ds, encoder="nonexistent")
-
-    def test_identity_stub_round_trips(self, tmp_path, hma):
-        fixed = hma.word("P")
-        register_encoder("identity-stub", lambda data, scale: fixed)
-        ds = sample_person_fou(STUDENT_ENDPOINTS[1], n=10, seed=7)
-        word = encode_word(ds, encoder="identity-stub")
-        cb = Codebook(hma.scale, (word,), encoder_tag="identity-stub")
-        path = tmp_path / "cb.txt"
-        save_codebook(cb, path)
-        loaded = load_codebook(path)
-        assert loaded.words[0].umf == fixed.umf
-        assert loaded.words[0].lmf == fixed.lmf
-
-    def test_hull_stub_support_within_elicited_bounds(self):
-        def hull(data, scale):
-            ls = [l for l, _ in data.pairs]
-            rs = [r for _, r in data.pairs]
-            support = Trapezoid(min(ls), min(ls), max(rs), max(rs))
-            return IT2Word(data.word, support, support)
-
-        register_encoder("minmax-hull", hull)
-        ds = sample_person_fou(STUDENT_ENDPOINTS[1], n=50, seed=7)  # P: [0,.5] x [4.5,5.5]
-        word = encode_word(ds, encoder="minmax-hull")
-        assert word.umf.a >= 0.0
-        assert word.umf.d <= 5.5
 
 
 class TestFileFormat:

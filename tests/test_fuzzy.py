@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
+from conftest import FouShape, classify_fou
 from lingopt.fuzzy import (
     DomainError,
-    FouShape,
     Interval,
     IT2Word,
     Trapezoid,
     alpha_cut,
-    classify_fou,
 )
 
 SCALE = Interval(0.0, 10.0)

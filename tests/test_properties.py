@@ -11,23 +11,27 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    FouShape,
     assert_alpha_cuts_are_weighted_averages,
+    centroid_brute,
+    classify_fou,
     jaccard_oracle,
     random_trapezoid,
     random_word,
+    translate,
     tsukamoto_oracle,
 )
 from lingopt.codebook import Codebook, format_codebook, load_codebook, parse_codebook
-from lingopt.fuzzy import DomainError, Interval, IT2Word, Trapezoid, alpha_cut, classify_fou, FouShape
+from lingopt.fuzzy import DomainError, Interval, IT2Word, Trapezoid, alpha_cut
 from lingopt.problems import Alternative, ProblemBundle, format_problem, parse_problem
 from lingopt.reasoning import AUTO, AUTO_WORD, Objective, Rule, decode, fire, fire_rules, lwa
 from lingopt.similarity import (
     DegenerateWordError,
     Discretization,
-    centroid_brute,
     centroid_ekm,
     centroid_ekm_from_samples,
     jaccard,
+    rank_by_centroid,
 )
 from lingopt.tsukamoto import (
     EqualityConstraint,
@@ -140,7 +144,7 @@ def oracle_words(draw, name: str) -> IT2Word:
     shift = draw(st.sampled_from(["none", "left", "right"]))  # touch a scale end
     if shift != "none":
         offset = -umf.a if shift == "left" else 10.0 - umf.d
-        umf, lmf = umf.translate(offset), lmf.translate(offset)
+        umf, lmf = translate(umf, offset), translate(lmf, offset)
     w = IT2Word(name, umf, lmf)
     try:
         w.validate()
@@ -207,7 +211,7 @@ class TestJaccardOracle:
         w = cb.words[i]
         room_left, room_right = w.umf.a - cb.scale.lo, cb.scale.hi - w.umf.d
         offset = room_right / 2 if room_right > room_left else -room_left / 2
-        moved = IT2Word(w.name, w.umf.translate(offset), w.lmf.translate(offset))
+        moved = IT2Word(w.name, translate(w.umf, offset), translate(w.lmf, offset))
         words = cb.words[:i] + (moved,) + cb.words[i + 1:]
         assert_fire_and_decode_match_oracle(replace(cb, words=words), d, rules, inputs, firings)
 
@@ -372,6 +376,27 @@ class TestCentroidOracle:
             assert w.umf.a - 1e-9 <= b.cl and b.cr <= w.umf.d + 1e-9
 
 
+class TestRankingPermutation:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_invariant_under_input_permutation(self, data):
+        # scores 0.4e-9 apart chain into groups within the 1e-9 tolerance
+        k = data.draw(st.integers(1, 3))
+        directions = data.draw(st.lists(st.sampled_from(["max", "min"]), min_size=k, max_size=k))
+        score = st.integers(0, 6).map(lambda i: i * 0.4e-9) | st.integers(0, 3).map(float)
+        keys = data.draw(st.lists(st.tuples(*[score] * k), min_size=1, max_size=8))
+        items = [(f"a{i}", key) for i, key in enumerate(keys)]
+        shuffled = data.draw(st.permutations(items))
+        key_of = dict(items)
+        ranked = [key_of[label] for label in rank_by_centroid(items, directions)]
+        # labels with exactly equal keys may swap; nothing else may move
+        assert [key_of[label] for label in rank_by_centroid(shuffled, directions)] == ranked
+        sign = 1.0 if directions[0] == "max" else -1.0
+        for i, better in enumerate(ranked):
+            for worse in ranked[i + 1:]:
+                assert sign * better[0] >= sign * worse[0] - 1e-9
+
+
 class TestTwoTupleRoundTrip:
     def test_dense_beta_grid(self):
         ts = OrdinalTermSet(("s1", "s2", "s3", "s4", "s5"))
@@ -440,7 +465,7 @@ def problem_bundles(draw) -> ProblemBundle:
         )
         for _ in range(draw(st.integers(1, 3)))
     )
-    ranking = tuple(draw(st.lists(st.sampled_from(names), min_size=1, max_size=2)))
+    ranking = tuple(draw(st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True)))
     terms = tuple(draw(st.lists(TOKENS, min_size=1, max_size=5)))
     return ProblemBundle(draw(TOKENS), objectives, alternatives, ranking, terms, draw(TOKENS))
 

@@ -141,18 +141,14 @@ class TestDecode:
         assert decode(fou, hma) == "G"
 
     def test_centroid_method_breaks_pa_tie_upward(self, hma):
-        fou = synthesize_consequent(("P", "A"), hma).fou
-        assert decode(fou, hma, method="centroid") == "A"
+        # the nearest centroid mean, as synthesis decodes, breaks the P/A tie upward
+        assert synthesize_consequent(("P", "A"), hma).word == "A"
 
     def test_jaccard_method_agrees_on_pa_mix(self, hma):
-        # the similarity route lands on the same word, so both decode modes
-        # assign the mixed elective consequent to A
+        # the similarity route lands on the same word, so Jaccard decoding
+        # and synthesis both assign the mixed elective consequent to A
         fou = synthesize_consequent(("P", "A"), hma).fou
-        assert decode(fou, hma, method="jaccard") == "A"
-
-    def test_unknown_method(self, hma):
-        with pytest.raises(DomainError):
-            decode(hma.word("A"), hma, method="nearest")
+        assert decode(fou, hma) == "A"
 
 
 class TestSolve:

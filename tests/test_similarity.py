@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import random_word
+from conftest import centroid_brute, random_word, translate
 from lingopt.fuzzy import DomainError, Interval, IT2Word, Trapezoid
 from lingopt.similarity import (
     Centroid,
     DegenerateWordError,
     Discretization,
-    centroid_brute,
     centroid_ekm,
     jaccard,
     rank_by_centroid,
@@ -41,7 +40,7 @@ class TestJaccard:
         base = IT2Word("b", Trapezoid(0, 1, 2, 3), Trapezoid(0.5, 1, 2, 2.5, h=0.9))
         prev = 1.0
         for offset in np.arange(0.0, 25.0, 2.5):
-            shifted = IT2Word("s", base.umf.translate(offset), base.lmf.translate(offset))
+            shifted = IT2Word("s", translate(base.umf, offset), translate(base.lmf, offset))
             sim = jaccard(w, shifted, d)
             assert sim <= prev + 1e-9  # separation never increases similarity
             prev = sim
@@ -108,38 +107,38 @@ class TestCentroid:
 class TestRanking:
     def test_solop_means(self):
         items = [
-            ("SS1", 3.33, None),
-            ("SS2", 6.2, None),
-            ("SS3", 5.91, None),
-            ("SS4", 5.45, None),
+            ("SS1", (3.33,)),
+            ("SS2", (6.2,)),
+            ("SS3", (5.91,)),
+            ("SS4", (5.45,)),
         ]
-        assert rank_by_centroid(items) == ["SS2", "SS3", "SS4", "SS1"]
+        assert rank_by_centroid(items, ["max"]) == ["SS2", "SS3", "SS4", "SS1"]
 
     def test_tiebreak_on_secondary(self):
         items = [
-            ("SS1", 5.02, 2.6),
-            ("SS2", 7.42, None),
-            ("SS3", 4.35, None),
-            ("SS4", 5.02, 5.02),
+            ("SS1", (5.02, 2.6)),
+            ("SS2", (7.42, 0.0)),
+            ("SS3", (4.35, 0.0)),
+            ("SS4", (5.02, 5.02)),
         ]
-        assert rank_by_centroid(items) == ["SS2", "SS4", "SS1", "SS3"]
+        assert rank_by_centroid(items, ["max", "max"]) == ["SS2", "SS4", "SS1", "SS3"]
 
     def test_single_item(self):
-        assert rank_by_centroid([("only", 1.0, None)]) == ["only"]
+        assert rank_by_centroid([("only", (1.0,))], ["max"]) == ["only"]
 
     def test_stable_when_fully_tied(self):
-        items = [("a", 4.0, None), ("b", 4.0, None), ("c", 4.0, None)]
-        assert rank_by_centroid(items) == ["a", "b", "c"]
+        items = [("a", (4.0,)), ("b", (4.0,)), ("c", (4.0,))]
+        assert rank_by_centroid(items, ["max"]) == ["a", "b", "c"]
 
     def test_min_direction(self):
-        items = [("lo", 1.0, None), ("hi", 9.0, None)]
-        assert rank_by_centroid(items, direction="min") == ["lo", "hi"]
+        items = [("lo", (1.0,)), ("hi", (9.0,))]
+        assert rank_by_centroid(items, ["min"]) == ["lo", "hi"]
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
-            rank_by_centroid([])
+            rank_by_centroid([], ["max"])
 
     @pytest.mark.parametrize("direction", ["MAX", "descending", ""])
     def test_bad_direction_rejected(self, direction):
         with pytest.raises(DomainError, match="direction"):
-            rank_by_centroid([("a", 1.0, None), ("b", 2.0, None)], direction=direction)
+            rank_by_centroid([("a", (1.0,)), ("b", (2.0,))], [direction])

@@ -6,7 +6,6 @@ from lingopt.twotuple import (
     OrdinalTermSet,
     OutOfScaleError,
     TwoTuple,
-    compare,
     molop_solve,
     overflow_check,
     solop_aggregate,
@@ -117,15 +116,8 @@ class TestCompare:
             "SS3": to_two_tuple(3.4, FIVE),
             "SS4": to_two_tuple(3.2, FIVE),
         }
-        ranked = rank_by_centroid([(k, v.beta, None) for k, v in tuples.items()])
+        ranked = rank_by_centroid([(k, (v.beta,)) for k, v in tuples.items()], ["max"])
         assert ranked == ["SS2", "SS3", "SS4", "SS1"]
-
-    def test_equal_betas_compare_equal(self):
-        # beta 3.4 has exactly one valid encoding, (A, 0.4); the printed
-        # (G, -0.6) form denotes the same beta but is outside the translation
-        # range, so equality is checked through the canonical encoding
-        assert compare(TwoTuple(3, 0.4), to_two_tuple(4 + -0.6, FIVE)) == 0
-        assert compare(TwoTuple(2, 0.1), TwoTuple(2, -0.1)) == 1
 
     def test_fixture_table_ranking_with_core_tiebreak(self):
         # printed overall performances: elective column first, core breaks ties
@@ -135,8 +127,8 @@ class TestCompare:
             "SS3": (TwoTuple(3, 0.0), TwoTuple(3, 0.33)),
             "SS4": (TwoTuple(3, 0.0), TwoTuple(3, 0.0)),
         }
-        items = [(label, elective.beta, core.beta) for label, (core, elective) in table.items()]
-        assert rank_by_centroid(items) == ["SS2", "SS3", "SS4", "SS1"]
+        items = [(label, (elective.beta, core.beta)) for label, (core, elective) in table.items()]
+        assert rank_by_centroid(items, ["max", "max"]) == ["SS2", "SS3", "SS4", "SS1"]
 
 
 class TestOverflow:
