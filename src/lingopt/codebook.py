@@ -24,7 +24,8 @@ in the header or in one word, is refused.  A codebook file::
     centroid = 1.29 1.52 1.41   # optional; recomputed and checked on load
 
 An end-point file has the magic line ``endpoints v1``, an optional ``scale``
-and per-word ``left = lo hi`` / ``right = lo hi`` lines.
+and per-word ``left = lo hi`` / ``right = lo hi`` lines; as in a codebook,
+each word is named once.
 """
 
 from __future__ import annotations
@@ -33,19 +34,12 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Collection, Optional, Sequence, Union
+from typing import Collection, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .fuzzy import DomainError, Interval, IT2Word, LingoptError, Trapezoid
-from .similarity import (
-    Centroid,
-    Discretization,
-    SampledWord,
-    centroid_ekm,
-    jaccard_sampled,
-    sample_word,
-)
+from .fuzzy import DomainError, Interval, IT2Word, LingoptError, Trapezoid, vertex_rows
+from .similarity import Centroid, Discretization, centroid_ekm, jaccard_sampled, sample_word
 
 GENERATOR_NAME = "pcg64"  # numpy default_rng
 CENTROID_CACHE_TOL = 0.05  # fixture centroids are printed to 2 decimals
@@ -130,7 +124,7 @@ class Codebook:
         """The words sampled on ``d`` (default: this codebook's grid).
 
         The sampling is kept for the grid last asked for and returned again
-        while ``d`` stays equal, so repeated solves share it and its table
+        while ``d`` stays equal, so repeated solves share it and its matrix
         of pair similarities.  One slot bounds the memory to one grid.
         """
         d = d or self.discretization()
@@ -146,14 +140,17 @@ def _unknown_word(name: str, names: Sequence[str]) -> CodebookError:
 
 
 class SampledCodebook:
-    """A codebook's words sampled once on one grid, with the Jaccard
-    similarities of the word pairs compared so far.
+    """A codebook's words sampled once on one grid, as arrays indexed by
+    word position, with a V x V matrix of the Jaccard similarities compared
+    so far.
 
     Each word is stored as a ``SampledWord``: its memberships on the grid
     points of its support only.  Building it runs the on-scale check of
     ``jaccard`` on every word, so a grid that does not cover the codebook
-    raises ``DomainError`` here.  Pair similarities are computed on first
-    use, not for all V x V pairs up front.
+    raises ``DomainError`` here.  ``rows`` stacks the words' UMF and LMF
+    vertices as (V, 4) arrays and their LMF heights as a (V,) array.
+    ``jaccard[x, y]`` is NaN until the pair (x, y) is first asked for, so no
+    V x V comparisons are made up front.
 
     It holds no reference to the codebook that keeps it: that would be a
     cycle, and a dropped codebook would wait for the cyclic garbage
@@ -164,21 +161,27 @@ class SampledCodebook:
         self.names, self.d = cb.names, d
         self._positions = cb._positions
         self.words = tuple(sample_word(w, d) for w in cb.words)  # vocabulary order
-        self.pairs: dict[tuple[str, str], float] = {}
+        self.rows = vertex_rows(cb.words)  # (umf, lmf, lmf_h), the rows an LWA averages
+        self.jaccard = np.full((len(cb.words), len(cb.words)), np.nan)
 
-    def __getitem__(self, name: str) -> SampledWord:
+    def positions(self, names: Iterable[str]) -> np.ndarray:
+        """Vocabulary positions of ``names``, in order."""
         try:
-            return self.words[self._positions[name]]
-        except KeyError:
-            raise _unknown_word(name, self.names) from None
+            return np.array(list(map(self._positions.__getitem__, names)), dtype=np.intp)
+        except KeyError as e:
+            raise _unknown_word(e.args[0], self.names) from None
 
-    def similarity(self, x: str, y: str) -> float:
-        """Jaccard similarity of words ``x`` and ``y``, computed once per pair."""
-        try:
-            return self.pairs[x, y]
-        except KeyError:
-            sim = self.pairs[x, y] = jaccard_sampled(self[x], self[y])
-            return sim
+    def similarities(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Jaccard similarities of the words at positions ``xs`` and ``ys``
+        (broadcast together); a pair not compared before is compared now."""
+        sims = self.jaccard[xs, ys]
+        missing = np.isnan(sims)
+        if missing.any():
+            xs, ys = np.broadcast_arrays(xs, ys)
+            for x, y in set(zip(xs[missing].tolist(), ys[missing].tolist())):
+                self.jaccard[x, y] = jaccard_sampled(self.words[x], self.words[y])
+            sims = self.jaccard[xs, ys]
+        return sims
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +444,11 @@ def parse_endpoint_specs(text: str) -> list[EndpointSpec]:
     header, records = _read_records(text, "endpoints v1", ("scale",), ("left", "right"), EndpointSpecError)
     scale = _interval(header["scale"], "scale", EndpointSpecError) if "scale" in header else _SCALE
     specs: list[EndpointSpec] = []
+    seen: set[str] = set()
     for name, fields in records:
+        if name in seen:
+            raise EndpointSpecError(f"word {name!r} is given twice")
+        seen.add(name)
         if "left" not in fields or "right" not in fields:
             raise EndpointSpecError(f"word {name!r}: missing left or right interval")
         left = _interval(fields["left"], f"word {name!r} left", EndpointSpecError)

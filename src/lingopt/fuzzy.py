@@ -9,7 +9,7 @@ immutable; every operation here is a pure function.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -148,3 +148,10 @@ class IT2Word:
                     f"word {self.name!r}: lmf membership {lo:.6f} exceeds umf {hi:.6f} at x={x}"
                 )
 
+
+def vertex_rows(words: Sequence[IT2Word]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The words' UMF and LMF vertices as (M, 4) arrays and their LMF heights
+    as an (M,) array, one row per word in order."""
+    umf = np.array([w.umf.vertices for w in words], dtype=float).reshape(-1, 4)
+    lmf = np.array([w.lmf.vertices for w in words], dtype=float).reshape(-1, 4)
+    return umf, lmf, np.array([w.lmf.h for w in words], dtype=float)

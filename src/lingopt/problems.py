@@ -78,6 +78,8 @@ class ProblemBundle:
         for alt in self.alternatives:
             RuleBase(alt.rules, self.objectives)  # dimension checks
             n = len(alt.rules[0].antecedents)
+            if not n:
+                raise ProblemError(f"alternative {alt.label!r}: its rules have no antecedents")
             for o in self.objectives:
                 if o.slots and max(o.slots) > n:
                     raise ProblemError(

@@ -13,9 +13,13 @@ FOU back to a codebook word.
 Inputs, antecedents and decoded words all come from one codebook, so it is
 sampled once per grid: ``Codebook.sampled`` keeps a ``SampledCodebook``,
 which holds each word's memberships on the grid points of its support only,
-for every solve on that codebook and grid.  Firing looks each (input,
-antecedent) pair up in that sampling's table of Jaccard similarities, which
-computes a pair the first time it is asked for.  Only the output FOUs and
+its vertices as arrays indexed by word position, and a lazily filled V x V
+matrix of Jaccard similarities, for every solve on that codebook and grid.
+A solve compiles its rules to word positions: an (R, n) array of
+antecedents, whose firings are one gather from the matrix and one minimum
+per row, and per objective an (R,) array of consequent rows, which ``lwa``
+averages as one firing-weighted array product.  ``auto`` consequents add
+their synthesised vertices as rows of their own.  Only the output FOUs and
 ``auto`` consequents are sampled afresh, each on its own support.  ``fire``
 and ``decode`` run the same code through ``Codebook.sampled``.
 """
@@ -23,12 +27,13 @@ and ``decode`` run the same code through ``Codebook.sampled``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .codebook import Codebook, SampledCodebook
-from .fuzzy import DomainError, IT2Word, NoRuleFiredError, Trapezoid
+from .fuzzy import DomainError, IT2Word, NoRuleFiredError, Trapezoid, vertex_rows
 from .similarity import (
     Centroid,
     Discretization,
@@ -92,66 +97,87 @@ class RuleBase:
 # Linguistic weighted average
 
 
-def lwa(consequents: Sequence[IT2Word], firings: Sequence[float]) -> IT2Word:
+@dataclass(frozen=True, eq=False)
+class ConsequentRows:
+    """Consequents compiled to vertex rows: rule ``i``'s consequent is row
+    ``at[i]`` of the stacked UMF and LMF vertices (M, 4) and LMF heights (M,)."""
+
+    umf: np.ndarray
+    lmf: np.ndarray
+    lmf_h: np.ndarray
+    at: np.ndarray
+
+
+def lwa(consequents: Union[Sequence[IT2Word], ConsequentRows], firings: Sequence[float]) -> IT2Word:
     """Linguistic weighted average of the fired consequents, as an exact trapezoid.
 
     Consequents whose firing is zero drop out; if all of them are zero there
     is nothing to average and NoRuleFiredError is raised rather than
-    inventing a default word.
+    inventing a default word.  The fired rows are averaged as one
+    firing-weighted array product per membership function.
     """
-    if len(consequents) != len(firings) or not consequents:
+    rows = consequents
+    if not isinstance(rows, ConsequentRows):
+        rows = ConsequentRows(*vertex_rows(consequents), np.arange(len(consequents)))
+    firings = np.asarray(firings, dtype=float)
+    if firings.shape != rows.at.shape or not firings.size:
         raise DomainError("lwa needs matching, nonempty consequent and firing lists")
-    for f in firings:
-        if not 0.0 <= f <= 1.0:  # also rejects NaN
-            raise DomainError(f"firing level must lie in [0, 1], got {f}")
-    fired = [(c, f) for c, f in zip(consequents, firings) if f > 0.0]
-    if not fired:
+    if not (firings.min() >= 0.0 and firings.max() <= 1.0):  # NaN fails both
+        bad = firings[~((firings >= 0.0) & (firings <= 1.0))][0]
+        raise DomainError(f"firing level must lie in [0, 1], got {bad}")
+    fired = firings.nonzero()[0]
+    if not fired.size:
         raise NoRuleFiredError("all firings are zero")
-    weights = np.array([f for _, f in fired], dtype=float)
+    # only the fired rows enter the products: a zero-weight row would still
+    # change the order in which they are summed
+    weights = firings[fired]
     total = weights.sum()
-    h = min(c.lmf.h for c, _ in fired)
+    at = rows.at[fired]
+    heights = rows.lmf_h[at]
+    h = float(heights.min())
+    # cut each LMF at h: b and c move to a + frac (b - a) and d + frac (c - d),
+    # which is d - frac (d - c) to the last bit
+    lmf = rows.lmf[at]
+    ends = lmf[:, ::3]
+    lmf[:, 1:3] = ends + (h / heights)[:, None] * (lmf[:, 1:3] - ends)
 
-    def lmf_cut(t: Trapezoid) -> tuple[float, float, float, float]:
-        frac = h / t.h
-        return (t.a, t.a + frac * (t.b - t.a), t.d - frac * (t.d - t.c), t.d)
-
-    def average(rows, height: float) -> Trapezoid:
-        a, b, c, d = weights @ np.array(rows) / total
+    def average(vertices: np.ndarray, height: float) -> Trapezoid:
+        a, b, c, d = weights @ vertices / total
         # clamp against float noise in the averaged vertices
         b = min(max(b, a), d)
         c = min(max(c, b), d)
         return Trapezoid(a, b, c, d, height)
 
-    umf = average([c.umf.vertices for c, _ in fired], 1.0)
-    lmf = average([lmf_cut(c.lmf) for c, _ in fired], h)
-    return IT2Word("", umf, lmf)
+    return IT2Word("", average(rows.umf[at], 1.0), average(lmf, h))
 
 
 # ---------------------------------------------------------------------------
 # Firing and decoding
 
 
-def fire_rules(rules: Sequence[Rule], inputs: Sequence[str], scb: SampledCodebook) -> list[float]:
+def fire_rules(rules: Sequence[Rule], inputs: Sequence[str], scb: SampledCodebook) -> np.ndarray:
     """Firing level of each rule: the minimum over its slots of the Jaccard
     similarity between input and antecedent word.
 
-    The similarities come from the sampled codebook's table of word pairs,
-    so each (input, antecedent) pair is compared once per codebook and grid,
-    however many slots, rules and solves share it.
+    The antecedents compile to an (R, n) array of word positions, and every
+    slot's similarity is read from the sampled codebook's matrix of word
+    pairs, so each (input, antecedent) pair is compared once per codebook
+    and grid, however many slots, rules and solves share it.
     """
-    firings = []
-    for rule in rules:
-        if len(inputs) != len(rule.antecedents):
-            raise DomainError(
-                f"rule {rule.label!r} expects {len(rule.antecedents)} inputs, got {len(inputs)}"
-            )
-        firings.append(min(scb.similarity(x, a) for x, a in zip(inputs, rule.antecedents)))
-    return firings
+    n = len(inputs)
+    antecedents = [r.antecedents for r in rules]
+    if set(map(len, antecedents)) - {n}:
+        rule = next(r for r in rules if len(r.antecedents) != n)
+        raise DomainError(f"rule {rule.label!r} expects {len(rule.antecedents)} inputs, got {n}")
+    if not n:
+        raise DomainError("rules need at least one antecedent to fire")
+    positions = scb.positions(chain(inputs, *antecedents))
+    return scb.similarities(positions[:n], positions[n:].reshape(len(rules), n)).min(axis=1)
 
 
 def fire(rule: Rule, inputs: Sequence[str], cb: Codebook, d: Optional[Discretization] = None) -> float:
     """Minimum t-norm of slotwise Jaccard similarities between input and antecedents."""
-    return fire_rules([rule], inputs, cb.sampled(d))[0]
+    return float(fire_rules([rule], inputs, cb.sampled(d))[0])
 
 
 def decode(fou: IT2Word, cb: Codebook, d: Optional[Discretization] = None) -> str:
@@ -197,9 +223,7 @@ class SynthesizedConsequent:
 
 
 def synthesize_consequent(
-    antecedents: Sequence[Union[str, IT2Word]],
-    cb: Codebook,
-    d: Optional[Discretization] = None,
+    antecedents: Sequence[str], cb: Codebook, d: Optional[Discretization] = None
 ) -> SynthesizedConsequent:
     """Equal-weight LWA of the antecedent words, decoded to the nearest word.
 
@@ -208,25 +232,31 @@ def synthesize_consequent(
     """
     if not antecedents:
         raise DomainError("synthesize_consequent needs at least one antecedent")
-    d = d or cb.discretization()
-    words = [cb.word(a) if isinstance(a, str) else a for a in antecedents]
-    fou = lwa(words, [1.0] * len(words))
-    centroid = _centroid(sample_word(fou, d))
+    scb = cb.sampled(d)
+    fou = lwa(ConsequentRows(*scb.rows, scb.positions(antecedents)), np.ones(len(antecedents)))
+    centroid = _centroid(sample_word(fou, scb.d))
     return SynthesizedConsequent(fou.with_centroid(centroid), centroid, _decode_mean(centroid.mean, cb))
 
 
-def resolve_consequent(rule: Rule, k: int, objective: Objective, cb: Codebook,
-                       d: Optional[Discretization] = None) -> IT2Word:
-    """Concrete IT2 word for the k-th consequent of a rule."""
-    entry = rule.consequents[k]
-    if entry in (AUTO, AUTO_WORD):
-        slots = objective.slots or tuple(range(1, len(rule.antecedents) + 1))
-        names = [rule.antecedents[i - 1] for i in slots]
-        synth = synthesize_consequent(names, cb, d)
-        if entry == AUTO_WORD:
-            return cb.word(synth.word)
-        return synth.fou
-    return cb.word(entry)
+def _consequent_rows(rules: Sequence[Rule], k: int, objective: Objective, cb: Codebook,
+                     scb: SampledCodebook) -> ConsequentRows:
+    """The rules' k-th consequents as rows of the codebook's vertex arrays;
+    the FOUs synthesised for ``auto`` entries are rows appended after them."""
+    names = [r.consequents[k] for r in rules]
+    synthesized = []  # (rule position, raw FOU) of each ``auto`` entry
+    for i, (rule, entry) in enumerate(zip(rules, names)):
+        if entry in (AUTO, AUTO_WORD):
+            slots = objective.slots or range(1, len(rule.antecedents) + 1)
+            synth = synthesize_consequent([rule.antecedents[j - 1] for j in slots], cb, scb.d)
+            names[i] = synth.word
+            if entry == AUTO:
+                synthesized.append((i, synth.fou))
+    at, rows = scb.positions(names), scb.rows
+    if synthesized:
+        where, fous = zip(*synthesized)
+        at[list(where)] = len(scb.names) + np.arange(len(fous))
+        rows = (np.concatenate(pair) for pair in zip(rows, vertex_rows(fous)))
+    return ConsequentRows(*rows, at)
 
 
 # ---------------------------------------------------------------------------
@@ -244,14 +274,14 @@ class PrOutput:
     firings: tuple[float, ...]
 
 
-def _finish(fou: IT2Word, firings, scb: SampledCodebook) -> PrOutput:
+def _finish(fou: IT2Word, firings: tuple[float, ...], scb: SampledCodebook) -> PrOutput:
     s = sample_word(fou, scb.d)
     centroid = _centroid(s)
     return PrOutput(
         fou=fou.with_centroid(centroid),
         centroid=centroid,
         decoded=_decode_jaccard(s, scb),
-        firings=tuple(firings),
+        firings=firings,
     )
 
 
@@ -261,15 +291,15 @@ def solve_molop(
     """Fire every rule once, then combine per objective with the shared firings."""
     scb = cb.sampled(d)
     firings = fire_rules(rb.rules, inputs, scb)
-    if all(f == 0.0 for f in firings):
+    if not firings.any():
         raise NoRuleFiredError(
             f"no rule fired for input {list(inputs)}; refusing to emit a default word"
         )
-    outputs = []
-    for k, objective in enumerate(rb.objectives):
-        consequents = [resolve_consequent(r, k, objective, cb, scb.d) for r in rb.rules]
-        outputs.append(_finish(lwa(consequents, firings), firings, scb))
-    return outputs
+    levels = tuple(firings.tolist())
+    return [
+        _finish(lwa(_consequent_rows(rb.rules, k, objective, cb, scb), firings), levels, scb)
+        for k, objective in enumerate(rb.objectives)
+    ]
 
 
 def solve_solop(

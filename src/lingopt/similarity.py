@@ -179,7 +179,9 @@ def _ekm_endpoint(xs: np.ndarray, lower: np.ndarray, upper: np.ndarray, right: b
 
 def centroid_ekm_from_samples(xs: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> Centroid:
     xs, lo, hi = _prepare_samples(xs, lower, upper)
-    if np.allclose(lo, hi, atol=0.0):
+    # the test of np.allclose(lo, hi, atol=0.0), by the same float operations:
+    # the samples are finite and hi > 0
+    if (np.abs(lo - hi) <= 1e-5 * hi).all():
         # type-1 degeneracy: both endpoints collapse to sum(x*u)/sum(u)
         c = float(np.dot(xs, hi) / hi.sum())
         return Centroid(c, c)

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from lingopt.codebook import load_codebook
-from lingopt.fuzzy import Interval, IT2Word, Trapezoid, alpha_cut
-from lingopt.similarity import Centroid
+from lingopt.fuzzy import DomainError, Interval, IT2Word, NoRuleFiredError, Trapezoid, alpha_cut
+from lingopt.reasoning import AUTO, AUTO_WORD
+from lingopt.similarity import Centroid, centroid_ekm_from_samples, jaccard, sample_word
 
 
 @pytest.fixture(scope="session")
@@ -117,6 +118,74 @@ def jaccard_oracle(a: IT2Word, b: IT2Word, d) -> float:
         den += [max(ua, ub), max(la, lb)]
     total = math.fsum(den)
     return math.fsum(num) / total if total else 0.0
+
+
+def lwa_oracle(words, firings) -> IT2Word:
+    """LWA oracle: the fired words and their LMF cuts gathered row by row in
+    Python lists, then averaged by the same array product as the engine, so
+    the two agree to the last bit."""
+    for f in firings:
+        if not 0.0 <= f <= 1.0:
+            raise DomainError(f"firing level must lie in [0, 1], got {f}")
+    fired = [(w, f) for w, f in zip(words, firings) if f > 0.0]
+    if not fired:
+        raise NoRuleFiredError("all firings are zero")
+    weights = np.array([f for _, f in fired])
+    total = weights.sum()
+    h = min(w.lmf.h for w, _ in fired)
+    cuts = [(t.a, t.a + h / t.h * (t.b - t.a), t.d - h / t.h * (t.d - t.c), t.d) for t in (w.lmf for w, _ in fired)]
+
+    def average(rows, height: float) -> Trapezoid:
+        a, b, c, d = weights @ np.array(rows) / total
+        b = min(max(b, a), d)
+        c = min(max(c, b), d)
+        return Trapezoid(a, b, c, d, height)
+
+    return IT2Word("", average([w.umf.vertices for w, _ in fired], 1.0), average(cuts, h))
+
+
+def nearest_mean_oracle(mean: float, cb) -> str:
+    """Word whose centroid mean is nearest; within 1e-12 is a tie, and a tie
+    goes to the later word."""
+    best, best_gap = None, np.inf
+    for w in cb.words:
+        gap = abs(w.centroid.mean - mean)
+        if best is None or gap < best_gap - 1e-12:
+            best, best_gap = w.name, gap
+        elif gap <= best_gap + 1e-12:
+            best = w.name
+    return best
+
+
+def solve_oracle(rules, objectives, inputs, cb, d):
+    """Perceptual-reasoning oracle, one rule at a time: a rule fires at the
+    minimum of its slots' ``jaccard`` values, each computed from freshly
+    sampled words; each objective's consequents are resolved rule by rule
+    (``auto`` entries synthesised by ``lwa_oracle``) and averaged by
+    ``lwa_oracle``.  Returns the firings and each objective's output FOU."""
+    firings = []
+    for rule in rules:
+        if len(rule.antecedents) != len(inputs):
+            raise DomainError(f"rule {rule.label!r} expects {len(rule.antecedents)} inputs")
+        firings.append(min(jaccard(cb.word(x), cb.word(a), d) for x, a in zip(inputs, rule.antecedents)))
+    if not any(firings):
+        raise NoRuleFiredError("no rule fired")
+    fous = []
+    for k, objective in enumerate(objectives):
+        words = []
+        for rule in rules:
+            entry = rule.consequents[k]
+            if entry in (AUTO, AUTO_WORD):
+                slots = objective.slots or range(1, len(rule.antecedents) + 1)
+                fou = lwa_oracle([cb.word(rule.antecedents[j - 1]) for j in slots], [1.0] * len(slots))
+                if entry == AUTO_WORD:
+                    s = sample_word(fou, d)
+                    fou = cb.word(nearest_mean_oracle(centroid_ekm_from_samples(s.xs, s.lower, s.upper).mean, cb))
+                words.append(fou)
+            else:
+                words.append(cb.word(entry))
+        fous.append(lwa_oracle(words, firings))
+    return firings, fous
 
 
 def _interp(x: float, xs, fs) -> float:

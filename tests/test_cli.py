@@ -313,6 +313,27 @@ class TestExitCodes:
         assert out == ""
         self.assert_one_line(err, "data")
 
+    def test_data_error_repeated_endpoint_word(self, capsys, tmp_path):
+        # a second `word VP` would otherwise be sampled again under another seed
+        repeated = "right = 2 3\nword VP\nleft = 0 0\nright = 2 3\n"
+        argv = self.edited_input(tmp_path, "endpoints", "right = 2 3\n", repeated)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        self.assert_one_line(err, "data")
+        assert "'VP'" in err
+
+    def test_data_error_rule_without_antecedents(self, capsys, tmp_path):
+        path = tmp_path / "problem.txt"
+        path.write_text(
+            "problem v1\nterms = VP P A G VG\nobjective = o max\n"
+            "rule R1 |  | VG\nalternative A | rules = R1 | input =\n"
+        )
+        code, out, err = run_cli(capsys, "solve", "pr", "--problem", str(path), "--codebook", "paper-hma")
+        assert code == 3
+        assert out == ""
+        self.assert_one_line(err, "data")
+
     @staticmethod
     def ranking_problem(tmp_path, objectives, ranking, x_consequents, y_consequents) -> str:
         """Two alternatives fired at 1 by the same input; only their

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from lingopt import codebook
 from lingopt.codebook import (
     STUDENT_ENDPOINTS,
     Codebook,
@@ -98,16 +99,24 @@ class TestSampledCodebook:
         finally:
             gc.enable()
 
-    def test_pair_table_holds_the_pairs_fired(self, hma):
+    def test_pair_table_holds_the_pairs_fired(self, hma, monkeypatch):
         scb = replace(hma).sampled()
+        assert scb.jaccard.shape == (5, 5) and np.isnan(scb.jaccard).all()
         rules = [Rule("r1", ("A", "G"), ()), Rule("r2", ("A", "VG"), ())]
         first = fire_rules(rules, ("A", "G"), scb)
-        assert set(scb.pairs) == {("A", "A"), ("G", "G"), ("G", "VG")}
-        assert scb.pairs[("G", "VG")] == jaccard(hma.word("G"), hma.word("VG"), scb.d)
-        assert fire_rules(rules, ("A", "G"), scb) == first
+        pos = {name: i for i, name in enumerate(hma.names)}
+        fired = {(pos["A"], pos["A"]), (pos["G"], pos["G"]), (pos["G"], pos["VG"])}
+        assert set(zip(*np.nonzero(~np.isnan(scb.jaccard)))) == fired
+        assert scb.jaccard[pos["G"], pos["VG"]] == jaccard(hma.word("G"), hma.word("VG"), scb.d)
+
+        compared = []
+        monkeypatch.setattr(codebook, "jaccard_sampled", lambda a, b: compared.append((a, b)))
+        assert fire_rules(rules, ("A", "G"), scb).tolist() == first.tolist()
+        assert compared == []  # a second solve compares no pair again
         with pytest.raises(CodebookError, match="unknown word 'XX'"):
             fire_rules(rules, ("XX", "G"), scb)
-        assert ("XX", "A") not in scb.pairs
+        assert compared == []
+        assert set(zip(*np.nonzero(~np.isnan(scb.jaccard)))) == fired
 
 
 class TestSampling:

@@ -16,22 +16,37 @@ from conftest import (
     centroid_brute,
     classify_fou,
     jaccard_oracle,
+    lwa_oracle,
     random_trapezoid,
     random_word,
+    solve_oracle,
     translate,
     tsukamoto_oracle,
 )
-from lingopt.codebook import Codebook, format_codebook, load_codebook, parse_codebook
-from lingopt.fuzzy import DomainError, Interval, IT2Word, Trapezoid, alpha_cut
+from lingopt.codebook import Codebook, CodebookError, format_codebook, load_codebook, parse_codebook
+from lingopt.fuzzy import DomainError, Interval, IT2Word, LingoptError, Trapezoid, alpha_cut
 from lingopt.problems import Alternative, ProblemBundle, format_problem, parse_problem
-from lingopt.reasoning import AUTO, AUTO_WORD, Objective, Rule, decode, fire, fire_rules, lwa
+from lingopt.reasoning import (
+    AUTO,
+    AUTO_WORD,
+    Objective,
+    Rule,
+    RuleBase,
+    decode,
+    fire,
+    fire_rules,
+    lwa,
+    solve_molop,
+)
 from lingopt.similarity import (
     DegenerateWordError,
     Discretization,
+    _ekm_endpoint,
     centroid_ekm,
     centroid_ekm_from_samples,
     jaccard,
     rank_by_centroid,
+    sample_word,
 )
 from lingopt.tsukamoto import (
     EqualityConstraint,
@@ -214,6 +229,153 @@ class TestJaccardOracle:
         moved = IT2Word(w.name, translate(w.umf, offset), translate(w.lmf, offset))
         words = cb.words[:i] + (moved,) + cb.words[i + 1:]
         assert_fire_and_decode_match_oracle(replace(cb, words=words), d, rules, inputs, firings)
+
+
+@st.composite
+def spread_codebooks(draw) -> Codebook:
+    """2-6 words, each drawn inside a window of its own, so that some word
+    pairs do not overlap and rules built from them fire at zero."""
+    words = []
+    for i in range(draw(st.integers(2, 6))):
+        width = draw(st.floats(0.5, 10.0))
+        lo = draw(st.floats(0.0, 10.0 - width))
+        w = replace(random_word(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), lo, lo + width), name=f"W{i}")
+        words.append(w.with_centroid(centroid_ekm(w)))
+    return Codebook(Interval(0.0, 10.0), tuple(words))
+
+
+@st.composite
+def rule_bases(draw, names) -> RuleBase:
+    """1-40 rules over ``names`` with 1-4 slots and 1-3 objectives; each
+    consequent is a word, ``auto`` or ``auto-word``."""
+    n, q = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    slots = st.none() | st.lists(st.integers(1, n), min_size=1, max_size=n).map(tuple)
+    objectives = tuple(Objective(f"o{k}", "max", draw(slots)) for k in range(q))
+    word = st.sampled_from(names)
+    consequent = word | st.sampled_from([AUTO, AUTO_WORD])
+    rules = tuple(
+        Rule(f"r{i}", tuple(draw(st.lists(word, min_size=n, max_size=n))),
+             tuple(draw(st.lists(consequent, min_size=q, max_size=q))))
+        for i in range(draw(st.integers(1, 40)))
+    )
+    return RuleBase(rules, objectives)
+
+
+def _hexes(w: IT2Word) -> list[str]:
+    return [float(v).hex() for v in (*w.umf.vertices, w.umf.h, *w.lmf.vertices, w.lmf.h)]
+
+
+def _outcome(fn):
+    """(result, None), or (None, the LingoptError subclass raised)."""
+    try:
+        return fn(), None
+    except LingoptError as e:
+        return None, type(e)
+
+
+class TestCompiledSolve:
+    """``solve_molop`` fires rules from the similarity matrix and averages
+    compiled vertex rows; the oracle does both one rule at a time."""
+
+    D = Discretization(201, Interval(0.0, 10.0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(spread_codebooks(), st.data())
+    def test_solve_matches_oracle_bitwise(self, cb, data):
+        rb = data.draw(rule_bases(cb.names))
+        n = len(rb.rules[0].antecedents)
+        sims = {}  # jaccard_oracle per word pair
+        for _ in range(2):  # the second solve reads pairs the first one compared
+            inputs = data.draw(st.lists(st.sampled_from(cb.names), min_size=n, max_size=n).map(tuple))
+            got, got_error = _outcome(lambda: solve_molop(rb, inputs, cb, self.D))
+            want, want_error = _outcome(lambda: solve_oracle(rb.rules, rb.objectives, inputs, cb, self.D))
+            assert got_error is want_error
+            if want is None:
+                continue
+            firings, fous = want
+            for out, fou in zip(got, fous):
+                assert [f.hex() for f in out.firings] == [f.hex() for f in firings]
+                assert _hexes(out.fou) == _hexes(fou)
+                s = sample_word(fou, self.D)
+                centroid = centroid_ekm_from_samples(s.xs, s.lower, s.upper)
+                assert (out.centroid.cl.hex(), out.centroid.cr.hex()) == (centroid.cl.hex(), centroid.cr.hex())
+                assert out.decoded == oracle_decode(fou, cb, self.D)
+            for rule, level in zip(rb.rules, firings):
+                pairs = [(x, a) for x, a in zip(inputs, rule.antecedents)]
+                for x, a in pairs:
+                    if (x, a) not in sims:
+                        sims[x, a] = jaccard_oracle(cb.word(x), cb.word(a), self.D)
+                assert level == pytest.approx(min(sims[p] for p in pairs), abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(spread_codebooks(), st.data())
+    def test_errors_match_oracle(self, cb, data):
+        rb = data.draw(rule_bases(cb.names))
+        n = len(rb.rules[0].antecedents)
+        inputs = data.draw(st.lists(st.sampled_from(cb.names), min_size=n, max_size=n).map(tuple))
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, len(rb.rules) - 1))
+        rule = rb.rules[j]
+        unknown_antecedent = replace(rule, antecedents=rule.antecedents[:i] + ("ZZ",) + rule.antecedents[i + 1:])
+        cases = [
+            (rb.rules, inputs[:i] + ("ZZ",) + inputs[i + 1:], CodebookError),
+            (rb.rules[:j] + (unknown_antecedent,) + rb.rules[j + 1:], inputs, CodebookError),
+            (rb.rules, inputs + inputs[:1], DomainError),
+            (rb.rules, inputs[1:], DomainError),
+        ]
+        for rules, x, error in cases:
+            _, got = _outcome(lambda: solve_molop(RuleBase(rules, rb.objectives), x, cb, self.D))
+            _, want = _outcome(lambda: solve_oracle(rules, rb.objectives, x, cb, self.D))
+            assert got is want is error
+
+        words = [cb.word(data.draw(st.sampled_from(cb.names))) for _ in range(len(rb.rules))]
+        firings = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(words), max_size=len(words)))
+        firings[i % len(firings)] = data.draw(st.sampled_from([np.nan, -0.1, 1.5, np.inf, -np.inf]))
+        _, got = _outcome(lambda: lwa(words, firings))
+        _, want = _outcome(lambda: lwa_oracle(words, firings))
+        assert got is want is DomainError
+
+    def test_no_rule_fired_matches_oracle(self):
+        low, high = (IT2Word(name, Trapezoid(*v), Trapezoid(*v, h=0.5)) for name, v in
+                     (("L", (0.0, 1.0, 1.5, 2.0)), ("R", (8.0, 8.5, 9.0, 10.0))))
+        cb = Codebook(Interval(0.0, 10.0), tuple(w.with_centroid(centroid_ekm(w)) for w in (low, high)))
+        rb = RuleBase((Rule("r1", ("L", "L"), ("R",)), Rule("r2", ("L", "R"), (AUTO,))), (Objective("o"),))
+        for solve in (lambda: solve_molop(rb, ("R", "L"), cb, self.D),
+                      lambda: solve_oracle(rb.rules, rb.objectives, ("R", "L"), cb, self.D)):
+            assert _outcome(solve)[1] is NoRuleFiredError
+        with pytest.raises(NoRuleFiredError):
+            lwa([low, high], [0.0, 0.0])
+
+
+class TestType1Decision:
+    """The centroid takes its type-1 shortcut exactly when np.allclose(lo,
+    hi, atol=0.0) holds, and otherwise runs EKM on the same samples."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_decision_matches_allclose(self, data):
+        n = data.draw(st.integers(2, 40))
+        hi = np.array(data.draw(st.lists(st.floats(1e-6, 1.0), min_size=n, max_size=n)))
+        kind = data.draw(st.sampled_from(["equal", "boundary", "random"]))
+        if kind == "equal":
+            lo = hi.copy()
+        elif kind == "boundary":  # |lo - hi| a few ulps either side of 1e-5 * hi
+            lo = hi - 1e-5 * hi
+            ulps = np.array(data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
+            for _ in range(2):
+                lo = np.where(ulps > 0, np.nextafter(lo, np.inf), np.where(ulps < 0, np.nextafter(lo, 0.0), lo))
+                ulps = ulps - np.sign(ulps)
+        else:
+            lo = hi * np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+        xs = np.linspace(0.0, 10.0, n)
+        type1 = np.allclose(lo, hi, atol=0.0)
+        assert bool((np.abs(lo - hi) <= 1e-5 * hi).all()) is bool(type1)
+        if type1:
+            c = float(np.dot(xs, hi) / hi.sum())
+            want = (c, c)
+        else:
+            want = (_ekm_endpoint(xs, lo, hi, right=False), _ekm_endpoint(xs, lo, hi, right=True))
+        got = centroid_ekm_from_samples(xs, lo, hi)
+        assert (got.cl.hex(), got.cr.hex()) == (want[0].hex(), want[1].hex())
 
 
 @st.composite
