@@ -35,7 +35,7 @@ from .problems import (
     solve_pr_bundle,
     solve_two_tuple_bundle,
 )
-from .similarity import DegenerateWordError, Discretization
+from .similarity import DegenerateWordError
 from .twotuple import OutOfScaleError, overflow_check
 
 USAGE_ERROR, DATA_ERROR, ENGINE_ERROR = 2, 3, 4
@@ -44,7 +44,16 @@ MAX_SAMPLE_N = 100_000  # most data intervals `sample` draws per word
 
 
 class UsageError(LingoptError):
-    """A flag value is out of its accepted range."""
+    """A flag is missing or unknown, or its value cannot be parsed or is out
+    of its accepted range."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would print its usage block and exit;
+    the subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 class _Row:
@@ -79,8 +88,7 @@ def _fou_cells(w: IT2Word) -> list[str]:
 
 def _solve_pr(bundle: ProblemBundle, args) -> str:
     cb = load_codebook(args.codebook or bundle.codebook_id)
-    d = Discretization(points=args.grid, scale=cb.scale)
-    result = solve_pr_bundle(bundle, cb, d)
+    result = solve_pr_bundle(bundle, cb, cb.discretization(args.grid))
     row = _Row([11, 9] + [6] * 9 + [6, 6, 6, 4])
     lines = [
         "engine = pr",
@@ -230,7 +238,7 @@ def _write_out(out: str, text: str) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="lingopt", description=__doc__)
+    parser = _Parser(prog="lingopt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="run an engine on a problem bundle")
@@ -263,9 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (EngineMismatchError, UsageError, tsk.GridStepError) as e:
         print(f"lingopt: usage error: {e}", file=sys.stderr)

@@ -25,13 +25,17 @@ in the header or in one word, is refused.  A codebook file::
 
 An end-point file has the magic line ``endpoints v1``, an optional ``scale``
 and per-word ``left = lo hi`` / ``right = lo hi`` lines; as in a codebook,
-each word is named once.
+each word is named once.  Both kinds refuse a scale end beyond 1e300 in
+magnitude.
+
+A loaded codebook arrives sampled on its default grid: each word is sampled
+once, which refuses a word off the scale, and its centroid is computed from
+that sample; a cached centroid more than 0.05 away from it is refused.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Collection, Iterable, Optional, Sequence, Union
@@ -39,10 +43,11 @@ from typing import Collection, Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .fuzzy import DomainError, Interval, IT2Word, LingoptError, Trapezoid, vertex_rows
-from .similarity import Centroid, Discretization, centroid_ekm, jaccard_sampled, sample_word
+from .similarity import Centroid, Discretization, centroid_sampled, jaccard_sampled, sample_word
 
 GENERATOR_NAME = "pcg64"  # numpy default_rng
 CENTROID_CACHE_TOL = 0.05  # fixture centroids are printed to 2 decimals
+MAX_SCALE_END = 1e300  # 1e6 grid points x 1e300 stays finite, and so does hi - lo
 
 
 class CodebookError(LingoptError, ValueError):
@@ -89,8 +94,9 @@ class Codebook:
     The instance keeps two derived caches outside equality, hashing and
     ``repr``: a name -> position map, and the ``SampledCodebook`` for the
     grid ``sampled`` was last asked for.  The codebook and its words are
-    immutable, so neither can go stale; ``dataclasses.replace`` builds a new
-    instance, which starts without a sampling.
+    immutable, so neither can go stale.  A loaded codebook starts with the
+    sampling on its default grid; ``dataclasses.replace`` builds a new
+    instance, which starts without one.
     """
 
     scale: Interval
@@ -146,7 +152,7 @@ class SampledCodebook:
 
     Each word is stored as a ``SampledWord``: its memberships on the grid
     points of its support only.  Building it runs the on-scale check of
-    ``jaccard`` on every word, so a grid that does not cover the codebook
+    ``sample_word`` on every word, so a grid that does not cover the codebook
     raises ``DomainError`` here.  ``rows`` stacks the words' UMF and LMF
     vertices as (V, 4) arrays and their LMF heights as a (V,) array.
     ``jaccard[x, y]`` is NaN until the pair (x, y) is first asked for, so no
@@ -267,28 +273,26 @@ def _rows_to_codebook(rows, encoder_tag: str) -> Codebook:
 
 
 def _finish_load(cb: Codebook) -> Codebook:
-    """Validate invariants and fill/check centroid caches."""
-    disc = cb.discretization()
-    out = []
-    for w in cb.words:
-        try:
+    """Validate the words; fill or check their centroids from the kept sampling."""
+    try:
+        for w in cb.words:
             w.validate()
-        except DomainError as e:
-            raise CodebookError(str(e)) from e
-        if w.umf.a < cb.scale.lo - 1e-9 or w.umf.d > cb.scale.hi + 1e-9:
-            raise CodebookError(f"word {w.name!r}: support outside scale")
-        computed = centroid_ekm(w, disc)
+        scb = cb.sampled()  # refuses a word off the scale
+    except DomainError as e:
+        raise CodebookError(str(e)) from e
+    out = []
+    for w, s in zip(cb.words, scb.words):
+        computed = centroid_sampled(s)
         if w.centroid is None:
             w = w.with_centroid(computed)
         elif (
             abs(w.centroid.cl - computed.cl) > CENTROID_CACHE_TOL
             or abs(w.centroid.cr - computed.cr) > CENTROID_CACHE_TOL
         ):
-            warnings.warn(
+            raise CodebookError(
                 f"word {w.name!r}: cached centroid [{w.centroid.cl}, {w.centroid.cr}] differs "
                 f"from recomputed [{computed.cl:.4f}, {computed.cr:.4f}] by more than "
-                f"{CENTROID_CACHE_TOL}",
-                stacklevel=3,
+                f"{CENTROID_CACHE_TOL}"
             )
         out.append(w)
     means = [w.centroid.mean for w in out]
@@ -298,7 +302,9 @@ def _finish_load(cb: Codebook) -> Codebook:
                 f"word {w.name!r}: centroid mean {cur:.4f} breaks the nondecreasing "
                 f"vocabulary order (previous {prev:.4f})"
             )
-    return Codebook(cb.scale, tuple(out), cb.encoder_tag, cb.generator, cb.seed)
+    loaded = Codebook(cb.scale, tuple(out), cb.encoder_tag, cb.generator, cb.seed)
+    object.__setattr__(loaded, "_sampled", scb)  # nothing in it depends on the centroids
+    return loaded
 
 
 def load_codebook(source: Union[str, Path]) -> Codebook:
@@ -383,6 +389,17 @@ def _interval(value: str, where: str, error: type[LingoptError]) -> Interval:
     return Interval(lo, hi)
 
 
+def _scale(header: dict[str, str], error: type[LingoptError]) -> Interval:
+    """The header's ``scale`` line, or [0, 10] without one.  Its ends are
+    bounded so that sums over a million grid points stay finite."""
+    if "scale" not in header:
+        return _SCALE
+    scale = _interval(header["scale"], "scale", error)
+    if max(-scale.lo, scale.hi) > MAX_SCALE_END:
+        raise error(f"scale: ends must lie within +-{MAX_SCALE_END:g}, got {header['scale']!r}")
+    return scale
+
+
 def _parse_word(name: str, fields: dict[str, str]) -> IT2Word:
     if "umf" not in fields or "lmf" not in fields:
         raise CodebookError(f"word {name!r}: missing umf or lmf line")
@@ -405,7 +422,7 @@ def parse_codebook(text: str) -> Codebook:
         text, "codebook v1", ("scale", "encoder", "generator", "seed"), ("umf", "lmf", "centroid"),
         CodebookError,
     )
-    scale = _interval(header["scale"], "scale", CodebookError) if "scale" in header else _SCALE
+    scale = _scale(header, CodebookError)
     seed = header.get("seed")
     if seed is not None:
         try:
@@ -442,7 +459,7 @@ def save_codebook(cb: Codebook, path: Union[str, Path]) -> None:
 
 def parse_endpoint_specs(text: str) -> list[EndpointSpec]:
     header, records = _read_records(text, "endpoints v1", ("scale",), ("left", "right"), EndpointSpecError)
-    scale = _interval(header["scale"], "scale", EndpointSpecError) if "scale" in header else _SCALE
+    scale = _scale(header, EndpointSpecError)
     specs: list[EndpointSpec] = []
     seen: set[str] = set()
     for name, fields in records:

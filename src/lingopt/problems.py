@@ -14,7 +14,9 @@ Bundle file grammar (whitespace separated, ``#`` starts a comment)::
 A consequent entry is a word name, ``auto`` (the rule keeps the raw FOU
 synthesised from its antecedents) or ``auto-word`` (the synthesised FOU is
 decoded to the nearest codebook word first).  ``slots`` name the 1-based
-antecedent positions an objective's auto-synthesis draws from.
+antecedent positions an objective's auto-synthesis draws from.  Only the
+``objective`` key may repeat; a header key, an alternative field, an
+alternative label or a rule within one alternative given twice is refused.
 """
 
 from __future__ import annotations
@@ -75,6 +77,9 @@ class ProblemBundle:
                 raise ProblemError(f"ranking references unknown objective {r!r}")
         if not self.alternatives:
             raise ProblemError("bundle needs at least one alternative")
+        labels = [alt.label for alt in self.alternatives]
+        if len(set(labels)) != len(labels):
+            raise ProblemError(f"duplicate alternative labels: {labels}")
         for alt in self.alternatives:
             RuleBase(alt.rules, self.objectives)  # dimension checks
             n = len(alt.rules[0].antecedents)
@@ -316,6 +321,7 @@ def parse_problem(text: str) -> ProblemBundle:
     ranking: Optional[tuple[str, ...]] = None
     rules: dict[str, Rule] = {}
     alternatives: list[Alternative] = []
+    header_keys: set[str] = set()  # single-valued keys seen so far
 
     for line in lines[1:]:
         if line.startswith("rule "):
@@ -333,16 +339,23 @@ def parse_problem(text: str) -> ProblemBundle:
             label = parts[0]
             rule_refs: list[Rule] = []
             input_vec = None
+            fields: set[str] = set()
             for part in parts[1:]:
                 if "=" not in part:
                     raise ProblemError(f"unparseable alternative field: {part!r}")
                 key, value = part.split("=", 1)
                 key, value = key.strip(), value.strip()
+                if key in fields:
+                    raise ProblemError(f"alternative {label!r}: field {key!r} given twice")
+                fields.add(key)
                 if key == "rules":
-                    for ref in value.split():
+                    refs = value.split()
+                    for ref in refs:
                         if ref not in rules:
                             raise ProblemError(f"alternative {label!r} references unknown rule {ref!r}")
-                        rule_refs.append(rules[ref])
+                    if len(set(refs)) != len(refs):
+                        raise ProblemError(f"alternative {label!r} lists a rule twice: {value!r}")
+                    rule_refs = [rules[ref] for ref in refs]
                 elif key == "input":
                     input_vec = tuple(value.split())
                 else:
@@ -352,6 +365,10 @@ def parse_problem(text: str) -> ProblemBundle:
             if "=" not in line:
                 raise ProblemError(f"unparseable problem line: {line!r}")
             key, value = (x.strip() for x in line.split("=", 1))
+            if key in header_keys:
+                raise ProblemError(f"problem key {key!r} given twice")
+            if key != "objective":
+                header_keys.add(key)
             if key == "name":
                 name = value
             elif key == "codebook":

@@ -38,7 +38,7 @@ from .similarity import (
     Centroid,
     Discretization,
     SampledWord,
-    centroid_ekm_from_samples,
+    centroid_sampled,
     jaccard_sampled,
     sample_word,
 )
@@ -207,10 +207,6 @@ def _decode_mean(mean: float, cb: Codebook) -> str:
     return _best(cb.names, [-abs(w.centroid.mean - mean) for w in cb.words])
 
 
-def _centroid(s: SampledWord) -> Centroid:
-    return centroid_ekm_from_samples(s.xs, s.lower, s.upper)
-
-
 # ---------------------------------------------------------------------------
 # Consequent synthesis
 
@@ -234,7 +230,7 @@ def synthesize_consequent(
         raise DomainError("synthesize_consequent needs at least one antecedent")
     scb = cb.sampled(d)
     fou = lwa(ConsequentRows(*scb.rows, scb.positions(antecedents)), np.ones(len(antecedents)))
-    centroid = _centroid(sample_word(fou, scb.d))
+    centroid = centroid_sampled(sample_word(fou, scb.d))
     return SynthesizedConsequent(fou.with_centroid(centroid), centroid, _decode_mean(centroid.mean, cb))
 
 
@@ -276,7 +272,7 @@ class PrOutput:
 
 def _finish(fou: IT2Word, firings: tuple[float, ...], scb: SampledCodebook) -> PrOutput:
     s = sample_word(fou, scb.d)
-    centroid = _centroid(s)
+    centroid = centroid_sampled(s)
     return PrOutput(
         fou=fou.with_centroid(centroid),
         centroid=centroid,

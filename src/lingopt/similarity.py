@@ -7,10 +7,10 @@ sum-ratio form for interval type-2 sets:
     sm(A, B) = (sum min(uA, uB) + sum min(lA, lB))
              / (sum max(uA, uB) + sum max(lA, lB))
 
-with u/l the upper and lower memberships sampled on the grid.  A word is
-sampled only on the grid points of its support (``sample_word``), where its
-memberships can be nonzero; ``jaccard_sampled`` is the one kernel that
-compares two such samples.
+with u/l the upper and lower memberships sampled on the grid.  ``sample_word``
+is the only way a word is put on a grid: on the points of its support, where
+its memberships can be nonzero.  ``jaccard_sampled`` and ``centroid_sampled``
+are the kernels that compare two such samples and reduce one to its centroid.
 """
 
 from __future__ import annotations
@@ -66,9 +66,6 @@ def _grid_cached(points: int, lo: float, hi: float) -> np.ndarray:
     return xs
 
 
-DEFAULT_GRID = Discretization()
-
-
 def _check_on_scale(w: IT2Word, d: Discretization) -> None:
     if w.umf.a < d.scale.lo - TOL or w.umf.d > d.scale.hi + TOL:
         raise DomainError(
@@ -93,7 +90,7 @@ class SampledWord:
     mass: float
 
 
-def sample_word(w: IT2Word, d: Discretization = DEFAULT_GRID) -> SampledWord:
+def sample_word(w: IT2Word, d: Discretization) -> SampledWord:
     """Sample the word on the grid points of its support (the union of the
     UMF and LMF supports; for a valid word, the UMF support)."""
     _check_on_scale(w, d)
@@ -127,7 +124,7 @@ def jaccard_sampled(a: SampledWord, b: SampledWord) -> float:
     return num / den
 
 
-def jaccard(a: IT2Word, b: IT2Word, d: Discretization = DEFAULT_GRID) -> float:
+def jaccard(a: IT2Word, b: IT2Word, d: Discretization) -> float:
     """Similarity in [0, 1]; 1 iff the FOUs coincide on the grid; symmetric."""
     return jaccard_sampled(sample_word(a, d), sample_word(b, d))
 
@@ -179,6 +176,9 @@ def _ekm_endpoint(xs: np.ndarray, lower: np.ndarray, upper: np.ndarray, right: b
 
 def centroid_ekm_from_samples(xs: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> Centroid:
     xs, lo, hi = _prepare_samples(xs, lower, upper)
+    if xs.size == 1:
+        # one point carries all the mass, so both ends of the centroid are it
+        return Centroid(float(xs[0]), float(xs[0]))
     # the test of np.allclose(lo, hi, atol=0.0), by the same float operations:
     # the samples are finite and hi > 0
     if (np.abs(lo - hi) <= 1e-5 * hi).all():
@@ -190,10 +190,14 @@ def centroid_ekm_from_samples(xs: np.ndarray, lower: np.ndarray, upper: np.ndarr
     return Centroid(cl, cr)
 
 
-def centroid_ekm(w: IT2Word, d: Discretization = DEFAULT_GRID) -> Centroid:
-    """Centroid interval of the word via the enhanced Karnik-Mendel iteration."""
-    xs = d.grid()
-    return centroid_ekm_from_samples(xs, w.lmf.membership_grid(xs), w.umf.membership_grid(xs))
+def centroid_sampled(s: SampledWord) -> Centroid:
+    """Centroid interval of a sampled word via the enhanced Karnik-Mendel iteration."""
+    return centroid_ekm_from_samples(s.xs, s.lower, s.upper)
+
+
+def centroid_ekm(w: IT2Word, d: Discretization) -> Centroid:
+    """Centroid interval of the word on the grid ``d``."""
+    return centroid_sampled(sample_word(w, d))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ exhaustive grid search along the equality-constraint line; this module is a
 verification baseline, not a solver.  The search is evaluated as arrays: the
 feasible grid is one (points, n) array and every objective is computed at
 every point in one pass over the rules.  ``crisp_output`` runs that same
-kernel on a single point.
+kernel on a single point.  Every membership function, built-in or custom, is
+one interpolated sample table.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fuzzy import DomainError, Interval, NoRuleFiredError
+from .fuzzy import DomainError, NoRuleFiredError
 
 #: most points ``optimize`` may enumerate on the constraint; a finer step is refused
 MAX_GRID_POINTS = 100_000
@@ -31,57 +32,43 @@ class GridStepError(DomainError):
 
 
 class MonotoneMf:
-    """Strictly monotone membership function on a domain, invertible by design.
+    """Strictly monotone membership function, invertible by design: the
+    piecewise-linear interpolation of samples (xs, mus), held at the end
+    values outside them.
 
-    Built-in kinds: "increasing" (mu = x) and "decreasing" (mu = 1 - x) on
-    [0, 1].  Custom monotone samples are interpolated piecewise-linearly.
+    Kind "custom" takes its own samples; the built-in kinds are two-point
+    samples on [0, 1]: "increasing" (mu = x) and "decreasing" (mu = 1 - x).
     """
 
     def __init__(
-        self,
-        kind: str = "increasing",
-        domain: Interval = Interval(0.0, 1.0),
-        samples: Optional[tuple[Sequence[float], Sequence[float]]] = None,
+        self, kind: str = "increasing", samples: Optional[tuple[Sequence[float], Sequence[float]]] = None
     ):
-        self.kind = kind
-        self.domain = domain
         if kind in ("increasing", "decreasing"):
             if samples is not None:
                 raise DomainError("samples are only for kind='custom'")
-            self._xs = None
-        elif kind == "custom":
-            if samples is None:
-                raise DomainError("kind='custom' needs (xs, mus) samples")
-            xs = np.asarray(samples[0], dtype=float)
-            mus = np.asarray(samples[1], dtype=float)
-            if xs.size < 2 or xs.size != mus.size:
-                raise DomainError("custom samples need matching xs/mus of length >= 2")
-            if not np.all(np.diff(xs) > 0):
-                raise DomainError("custom sample xs must be strictly increasing")
-            d = np.diff(mus)
-            if not (np.all(d > 0) or np.all(d < 0)):
-                raise DomainError("custom samples must be strictly monotone (invertible)")
-            self._xs, self._mus = xs, mus
-        else:
+            samples = ((0.0, 1.0), (0.0, 1.0) if kind == "increasing" else (1.0, 0.0))
+        elif kind != "custom":
             raise DomainError(f"unknown membership kind {kind!r}")
+        elif samples is None:
+            raise DomainError("kind='custom' needs (xs, mus) samples")
+        xs = np.asarray(samples[0], dtype=float)
+        mus = np.asarray(samples[1], dtype=float)
+        if xs.size < 2 or xs.size != mus.size:
+            raise DomainError("custom samples need matching xs/mus of length >= 2")
+        if not np.all(np.diff(xs) > 0):
+            raise DomainError("custom sample xs must be strictly increasing")
+        d = np.diff(mus)
+        if not (np.all(d > 0) or np.all(d < 0)):
+            raise DomainError("custom samples must be strictly monotone (invertible)")
+        self._curve = (xs, mus)
+        # np.interp needs increasing sample points, so a decreasing inverse reads them reversed
+        self._inverse = (mus, xs) if mus[0] < mus[-1] else (mus[::-1], xs[::-1])
 
     def __call__(self, x):
-        x = np.clip(np.asarray(x, dtype=float), self.domain.lo, self.domain.hi)
-        if self.kind == "increasing":
-            return (x - self.domain.lo) / self.domain.width
-        if self.kind == "decreasing":
-            return (self.domain.hi - x) / self.domain.width
-        return np.interp(x, self._xs, self._mus)
+        return np.interp(x, *self._curve)
 
     def inverse(self, alpha):
-        alpha = np.asarray(alpha, dtype=float)
-        if self.kind == "increasing":
-            return self.domain.lo + alpha * self.domain.width
-        if self.kind == "decreasing":
-            return self.domain.hi - alpha * self.domain.width
-        if self._mus[0] < self._mus[-1]:
-            return np.interp(alpha, self._mus, self._xs)
-        return np.interp(alpha, self._mus[::-1], self._xs[::-1])
+        return np.interp(alpha, *self._inverse)
 
 
 @dataclass(frozen=True)

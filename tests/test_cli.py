@@ -413,15 +413,142 @@ class TestExitCodes:
         assert out == ""
         self.assert_one_line(err, "usage")
 
-    def test_levels_flag_is_gone(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["solve", "pr", "--problem", "case-solop", "--levels", "5"])
-        assert exc.value.code == 2
+    def test_levels_flag_is_gone(self, capsys):
+        code, out, err = run_cli(capsys, "solve", "pr", "--problem", "case-solop", "--levels", "5")
+        assert code == 2
+        assert out == ""
+        self.assert_one_line(err, "usage")
 
-    def test_argparse_usage_exit(self):
+    def test_argparse_usage_exit(self, capsys):
+        code, out, err = run_cli(capsys, "solve", "unknown-engine", "--problem", "x")
+        assert code == 2
+        assert out == ""
+        self.assert_one_line(err, "usage")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "pr", "--problem", "case-solop", "--grid", "x"],
+            ["sample", "--spec", "paper-endpoints", "--n", "1.5", "--out", "-"],
+            ["solve", "pr", "--grid", "201"],
+            [],
+        ],
+        ids=["grid-not-int", "n-not-int", "missing-problem", "no-command"],
+    )
+    def test_usage_error_unparseable_flags(self, capsys, argv):
+        # argparse's own errors are one line too, not its usage block
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        self.assert_one_line(err, "usage")
+
+    def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["solve", "unknown-engine", "--problem", "x"])
-        assert exc.value.code == 2
+            main(["solve", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: lingopt solve")
+
+    # two words; on a grid of 3, 5 or 7 points the output FOU of ``L`` has
+    # upper membership above 0 at x = 0 only, where its lower membership is 0
+    COARSE_CODEBOOK = (
+        "codebook v1\nscale = 0 10\n"
+        "word L\numf = 0 0 0.51 1.34\nlmf = 0 0.23 0.41 1.11 0.77\n"
+        "word H\numf = 4 6 10 10\nlmf = 5 6 10 10 1.0\n"
+    )
+
+    @pytest.mark.parametrize("grid", ["3", "5", "7"])
+    def test_single_mass_point_centroid(self, capsys, tmp_path, grid):
+        codebook = tmp_path / "codebook.txt"
+        codebook.write_text(self.COARSE_CODEBOOK)
+        problem = tmp_path / "problem.txt"
+        problem.write_text(
+            "problem v1\nterms = L H\nobjective = o max\n"
+            "rule R1 | L | L\nalternative A | rules = R1 | input = L\n"
+        )
+        argv = ["solve", "pr", "--problem", str(problem), "--codebook", str(codebook), "--grid", grid]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0
+        assert err == ""
+        # both ends of the centroid are the one grid point with mass
+        assert out.splitlines()[-3].split()[-4:] == ["0.00", "0.00", "0.00", "L"]
+
+    def test_data_error_codebook_scale_too_large(self, capsys, tmp_path):
+        # at a scale end of 1e308, EKM sums overflow to inf and nan
+        codebook = tmp_path / "codebook.txt"
+        codebook.write_text(
+            "codebook v1\nscale = 0 1e308\n"
+            "word L\numf = 1e307 2e307 3e307 4e307\nlmf = 2e307 2e307 3e307 3e307 0.5\n"
+            "word H\numf = 5e307 6e307 7e307 8e307\nlmf = 6e307 6e307 7e307 7e307 0.5\n"
+        )
+        problem = tmp_path / "problem.txt"
+        problem.write_text(
+            "problem v1\nterms = L H\nobjective = o max\n"
+            "rule R1 | L | H\nalternative A | rules = R1 | input = L\n"
+        )
+        code, out, err = run_cli(capsys, "solve", "pr", "--problem", str(problem), "--codebook", str(codebook))
+        assert code == 3
+        assert out == ""
+        self.assert_one_line(err, "data")
+        assert "scale" in err
+
+    def test_data_error_endpoint_scale_too_large(self, capsys, tmp_path):
+        # at a scale end of 1e308, hi - lo of the uniform draw overflows
+        spec = tmp_path / "spec.txt"
+        spec.write_text("endpoints v1\nscale = -1e308 1e308\nword W\nleft = -1e308 1e308\nright = 1e308 1e308\n")
+        code, out, err = run_cli(capsys, "sample", "--spec", str(spec), "--out", "-")
+        assert code == 3
+        assert out == ""
+        self.assert_one_line(err, "data")
+        assert "scale" in err
+
+    def test_data_error_stale_centroid_cache(self, capsys, tmp_path):
+        argv = self.edited_input(tmp_path, "codebook", "centroid = 1.29 1.52", "centroid = 1.0 1.52")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        self.assert_one_line(err, "data")
+        assert "cached centroid" in err
+
+    REPEAT_BASE = (
+        "problem v1\nname = twice\ncodebook = paper-hma\nterms = VP P A G VG\n"
+        "objective = o max\nobjective = p min\nranking = o\n"
+        "rule r1 | A G | A P\nrule r2 | G G | G A\n"
+        "alternative x | rules = r1 r2 | input = A G\n"
+        "alternative y | rules = r2 | input = G G\n"
+    )
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            ("alternative y", "alternative x"),
+            ("terms = VP P A G VG\n", "terms = VP P A G VG\nterms = VP P A G VG\n"),
+            ("codebook = paper-hma\n", "codebook = paper-hma\ncodebook = paper-ia\n"),
+            ("name = twice\n", "name = twice\nname = again\n"),
+            ("ranking = o\n", "ranking = o\nranking = o\n"),
+            ("| input = A G", "| input = A G | input = G G"),
+            ("| rules = r2 |", "| rules = r2 | rules = r1 |"),
+            ("rules = r1 r2", "rules = r1 r2 r1"),
+        ],
+        ids=["alternative-label", "terms", "codebook", "name", "ranking", "alternative-input",
+             "alternative-rules", "rule-in-alternative"],
+    )
+    @pytest.mark.parametrize("engine", ["pr", "two-tuple"])
+    def test_data_error_repeated_problem_entry(self, capsys, tmp_path, engine, old, new):
+        path = tmp_path / "problem.txt"
+        path.write_text(self.REPEAT_BASE.replace(old, new, 1))
+        code, out, err = run_cli(capsys, "solve", engine, "--problem", str(path))
+        assert code == 3
+        assert out == ""
+        self.assert_one_line(err, "data")
+
+    def test_repeat_base_solves(self, capsys, tmp_path):
+        # unchanged, it solves: the ``objective`` key is the one that may repeat
+        path = tmp_path / "problem.txt"
+        path.write_text(self.REPEAT_BASE)
+        for engine in ("pr", "two-tuple"):
+            code, out, err = run_cli(capsys, "solve", engine, "--problem", str(path))
+            assert (code, err) == (0, "")
+            assert out.splitlines()[-1].startswith("ranking = ")
 
     def test_console_entry_point(self):
         # the child process imports the package from this checkout, installed or not

@@ -24,7 +24,7 @@ from lingopt.codebook import (
 )
 from lingopt.fuzzy import Interval, IT2Word, Trapezoid
 from lingopt.reasoning import Rule, fire_rules
-from lingopt.similarity import jaccard
+from lingopt.similarity import centroid_ekm, centroid_sampled, jaccard
 
 # Printed FOU data for the two fixture codebooks: every vertex and height.
 HMA_EXPECTED = {
@@ -88,6 +88,19 @@ class TestSampledCodebook:
         twin = replace(cb)
         assert twin.sampled(d) is not cb.sampled(d)
         assert twin == cb and hash(twin) == hash(cb) and repr(twin) == repr(hma)
+
+    def test_loaded_codebook_arrives_sampled(self, monkeypatch):
+        cb = parse_codebook(
+            "codebook v1\nword low\numf = 1 2 3 4\nlmf = 1.5 2 3 3.5 0.9\n"
+            "word high\numf = 6 7 8 9\nlmf = 6.5 7 8 8.5 0.9\n"
+        )
+        scb = cb._sampled
+        assert scb is not None and scb.d == cb.discretization()
+        # the centroids filled in on load are those of the kept samples
+        assert [w.centroid for w in cb.words] == [centroid_sampled(s) for s in scb.words]
+        assert [w.centroid for w in cb.words] == [centroid_ekm(w, scb.d) for w in cb.words]
+        monkeypatch.setattr(codebook, "sample_word", lambda *args: pytest.fail("word sampled again"))
+        assert cb.sampled() is scb and cb.sampled(cb.discretization()) is scb
 
     def test_sampling_is_freed_with_its_codebook(self, hma):
         cb = replace(hma)
@@ -200,14 +213,14 @@ lmf = 1.5 2 3 3.5 0.9
         with pytest.raises(CodebookError, match="nondecreasing"):
             parse_codebook(text)
 
-    def test_stale_centroid_cache_warns(self):
+    def test_stale_centroid_cache_refused(self):
         text = """codebook v1
 word w
 umf = 1 2 3 4
 lmf = 1.5 2 3 3.5 0.9
 centroid = 9.0 9.5 9.25
 """
-        with pytest.warns(UserWarning, match="centroid"):
+        with pytest.raises(CodebookError, match="cached centroid"):
             parse_codebook(text)
 
     def test_endpoint_specs_parse(self):

@@ -58,6 +58,11 @@ class TestBundles:
                 ("VP", "P"),
             )
 
+    def test_alternative_labels_unique(self):
+        alt = Alternative("a", (Rule("r", ("VP",), ("VP",)),), ("VP",))
+        with pytest.raises(ProblemError, match="duplicate alternative"):
+            ProblemBundle("x", (Objective("f"),), (alt, alt), ("f",), ("VP", "P"))
+
 
 class TestPrBundle:
     def test_solop_ranking(self, hma, ia):

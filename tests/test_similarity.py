@@ -66,7 +66,7 @@ class TestCentroid:
 
     def test_symmetric_word_mean_is_center(self):
         w = IT2Word("sym", Trapezoid(2, 4, 6, 8), Trapezoid(3, 4.5, 5.5, 7, h=0.7))
-        c = centroid_ekm(w)
+        c = centroid_ekm(w, Discretization())
         assert c.mean == pytest.approx(5.0, abs=1e-9)
 
     def test_type1_degeneracy_matches_direct_formula(self):
@@ -98,10 +98,15 @@ class TestCentroid:
                 assert abs(m1 - m2) < 0.01
 
     def test_all_zero_membership_rejected(self):
-        w = IT2Word("off", Trapezoid(0, 1, 2, 3), Trapezoid(0.5, 1, 2, 2.5, h=0.9))
-        d = Discretization(11, Interval(5.0, 10.0))
+        # on the scale, but between the grid points 0, 5 and 10
+        w = IT2Word("between", Trapezoid(1, 1.5, 2, 2.5), Trapezoid(1.2, 1.5, 2, 2.3, h=0.9))
         with pytest.raises(DegenerateWordError):
-            centroid_ekm(w, d)
+            centroid_ekm(w, Discretization(3, Interval(0.0, 10.0)))
+
+    def test_off_scale_word_rejected(self):
+        w = IT2Word("off", Trapezoid(0, 1, 2, 3), Trapezoid(0.5, 1, 2, 2.5, h=0.9))
+        with pytest.raises(DomainError, match="exceeds scale"):
+            centroid_ekm(w, Discretization(11, Interval(5.0, 10.0)))
 
 
 class TestRanking:
