@@ -14,9 +14,10 @@ Bundle file grammar (whitespace separated, ``#`` starts a comment)::
 A consequent entry is a word name, ``auto`` (the rule keeps the raw FOU
 synthesised from its antecedents) or ``auto-word`` (the synthesised FOU is
 decoded to the nearest codebook word first).  ``slots`` name the 1-based
-antecedent positions an objective's auto-synthesis draws from.  Only the
-``objective`` key may repeat; a header key, an alternative field, an
-alternative label or a rule within one alternative given twice is refused.
+antecedent positions an objective's auto-synthesis draws from.  Rule and
+alternative labels are single tokens.  Only the ``objective`` key may
+repeat; a header key, an alternative field, an alternative label or a rule
+within one alternative given twice is refused.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .codebook import Codebook, clean_lines
-from .fuzzy import LingoptError
+from .fuzzy import DomainError, LingoptError
 from .reasoning import (
     AUTO,
     AUTO_WORD,
@@ -46,6 +47,12 @@ class ProblemError(LingoptError, ValueError):
 
 class EngineMismatchError(LingoptError, ValueError):
     """A well-formed bundle was handed to an engine that cannot solve it."""
+
+
+def _check_label(kind: str, label: str) -> None:
+    # a report writes a label as one whitespace-separated cell
+    if label.split() != [label]:
+        raise ProblemError(f"{kind} labels must be single tokens, got {label!r}")
 
 
 @dataclass(frozen=True)
@@ -81,7 +88,13 @@ class ProblemBundle:
         if len(set(labels)) != len(labels):
             raise ProblemError(f"duplicate alternative labels: {labels}")
         for alt in self.alternatives:
-            RuleBase(alt.rules, self.objectives)  # dimension checks
+            _check_label("alternative", alt.label)
+            for rule in alt.rules:
+                _check_label("rule", rule.label)
+            try:
+                RuleBase(alt.rules, self.objectives)  # dimension checks
+            except DomainError as e:
+                raise ProblemError(f"alternative {alt.label!r}: {e}") from None
             n = len(alt.rules[0].antecedents)
             if not n:
                 raise ProblemError(f"alternative {alt.label!r}: its rules have no antecedents")
@@ -330,6 +343,7 @@ def parse_problem(text: str) -> ProblemBundle:
             if len(parts) != 3:
                 raise ProblemError(f"rule line needs 'label | antecedents | consequents': {line!r}")
             label = parts[0]
+            _check_label("rule", label)
             if label in rules:
                 raise ProblemError(f"duplicate rule label {label!r}")
             rules[label] = Rule(label, tuple(parts[1].split()), tuple(parts[2].split()))
@@ -337,6 +351,7 @@ def parse_problem(text: str) -> ProblemBundle:
             body = line[12:]
             parts = [p.strip() for p in body.split("|")]
             label = parts[0]
+            _check_label("alternative", label)
             rule_refs: list[Rule] = []
             input_vec = None
             fields: set[str] = set()
@@ -392,10 +407,13 @@ def parse_problem(text: str) -> ProblemBundle:
         raise ProblemError("problem file must declare terms")
     # slot specs wait for the rules, whose antecedent count bounds them
     most = max((len(r.antecedents) for r in rules.values()), default=0)
-    objectives = [
-        Objective(name, direction, None if spec is None else _parse_slots(spec, most))
-        for name, direction, spec in objective_specs
-    ]
+    objectives = []
+    for objective, direction, spec in objective_specs:
+        slots = None if spec is None else _parse_slots(spec, most)
+        try:
+            objectives.append(Objective(objective, direction, slots))
+        except DomainError as e:
+            raise ProblemError(f"objective {objective!r}: {e}") from None
     if not objectives:
         raise ProblemError("problem file must declare at least one objective")
     if ranking is None:

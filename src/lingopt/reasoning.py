@@ -19,9 +19,11 @@ A solve compiles its rules to word positions: an (R, n) array of
 antecedents, whose firings are one gather from the matrix and one minimum
 per row, and per objective an (R,) array of consequent rows, which ``lwa``
 averages as one firing-weighted array product.  ``auto`` consequents add
-their synthesised vertices as rows of their own.  Only the output FOUs and
-``auto`` consequents are sampled afresh, each on its own support.  ``fire``
-and ``decode`` run the same code through ``Codebook.sampled``.
+rows of their own: the equal-weight averages of their antecedents' codebook
+rows, all of an objective's taken as one batch by the kernel ``lwa`` uses.
+Only the output FOUs, and the FOUs synthesised for ``auto-word`` entries to
+decode, are sampled afresh, each on its own support.  ``fire`` and
+``decode`` run the same code through ``Codebook.sampled``.
 """
 
 from __future__ import annotations
@@ -108,13 +110,39 @@ class ConsequentRows:
     at: np.ndarray
 
 
+def _average_rows(weights: np.ndarray, umf: np.ndarray, lmf: np.ndarray,
+                  lmf_h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The LWA arithmetic over a leading batch axis: average ``b`` is the
+    ``weights``-weighted average of the rows ``umf[b]`` and ``lmf[b]``
+    (R, 4), each LMF first cut at ``h[b]``, the smallest of ``lmf_h[b]``.
+
+    ``lmf`` is cut in place.  Returns the averaged UMF and LMF vertices as
+    one (2, B, 4) array and the heights ``h`` as a (B,) array.
+    """
+    h = lmf_h.min(axis=1)
+    # cut each LMF at h: b and c move to a + frac (b - a) and d + frac (c - d),
+    # which is d - frac (d - c) to the last bit
+    ends = lmf[..., ::3]
+    lmf[..., 1:3] = ends + (h[:, None] / lmf_h)[..., None] * (lmf[..., 1:3] - ends)
+    out = np.empty((2, len(h), 4))
+    np.matmul(weights, umf, out=out[0])
+    np.matmul(weights, lmf, out=out[1])
+    out /= weights.sum()
+    # clamp against float noise in the averaged vertices, b into [a, d] and
+    # then c into [b, d]: a running maximum orders a <= b <= c, and b and c
+    # are then capped at d
+    np.maximum.accumulate(out[..., :3], axis=-1, out=out[..., :3])
+    np.minimum(out[..., 1:3], out[..., 3:], out=out[..., 1:3])
+    return out, h
+
+
 def lwa(consequents: Union[Sequence[IT2Word], ConsequentRows], firings: Sequence[float]) -> IT2Word:
     """Linguistic weighted average of the fired consequents, as an exact trapezoid.
 
     Consequents whose firing is zero drop out; if all of them are zero there
     is nothing to average and NoRuleFiredError is raised rather than
-    inventing a default word.  The fired rows are averaged as one
-    firing-weighted array product per membership function.
+    inventing a default word.  The fired rows are averaged as a batch of
+    one by ``_average_rows``, the kernel ``auto`` consequents share.
     """
     rows = consequents
     if not isinstance(rows, ConsequentRows):
@@ -130,25 +158,10 @@ def lwa(consequents: Union[Sequence[IT2Word], ConsequentRows], firings: Sequence
         raise NoRuleFiredError("all firings are zero")
     # only the fired rows enter the products: a zero-weight row would still
     # change the order in which they are summed
-    weights = firings[fired]
-    total = weights.sum()
-    at = rows.at[fired]
-    heights = rows.lmf_h[at]
-    h = float(heights.min())
-    # cut each LMF at h: b and c move to a + frac (b - a) and d + frac (c - d),
-    # which is d - frac (d - c) to the last bit
-    lmf = rows.lmf[at]
-    ends = lmf[:, ::3]
-    lmf[:, 1:3] = ends + (h / heights)[:, None] * (lmf[:, 1:3] - ends)
-
-    def average(vertices: np.ndarray, height: float) -> Trapezoid:
-        a, b, c, d = weights @ vertices / total
-        # clamp against float noise in the averaged vertices
-        b = min(max(b, a), d)
-        c = min(max(c, b), d)
-        return Trapezoid(a, b, c, d, height)
-
-    return IT2Word("", average(rows.umf[at], 1.0), average(lmf, h))
+    at = rows.at[fired][None]
+    out, h = _average_rows(firings[fired], rows.umf[at], rows.lmf[at], rows.lmf_h[at])
+    (umf,), (lmf,) = out.tolist()
+    return IT2Word("", Trapezoid(*umf, 1.0), Trapezoid(*lmf, float(h[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -236,23 +249,32 @@ def synthesize_consequent(
 
 def _consequent_rows(rules: Sequence[Rule], k: int, objective: Objective, cb: Codebook,
                      scb: SampledCodebook) -> ConsequentRows:
-    """The rules' k-th consequents as rows of the codebook's vertex arrays;
-    the FOUs synthesised for ``auto`` entries are rows appended after them."""
+    """The rules' k-th consequents as rows of the codebook's vertex arrays.
+
+    ``auto`` entries are rows appended after them: the equal-weight averages
+    of their antecedent rows at the objective's slots, all taken as one
+    batch.  Only ``auto-word`` entries are synthesised as FOUs, since their
+    decoded word is what enters the average.
+    """
     names = [r.consequents[k] for r in rules]
-    synthesized = []  # (rule position, raw FOU) of each ``auto`` entry
-    for i, (rule, entry) in enumerate(zip(rules, names)):
-        if entry in (AUTO, AUTO_WORD):
-            slots = objective.slots or range(1, len(rule.antecedents) + 1)
-            synth = synthesize_consequent([rule.antecedents[j - 1] for j in slots], cb, scb.d)
-            names[i] = synth.word
-            if entry == AUTO:
-                synthesized.append((i, synth.fou))
-    at, rows = scb.positions(names), scb.rows
-    if synthesized:
-        where, fous = zip(*synthesized)
-        at[list(where)] = len(scb.names) + np.arange(len(fous))
-        rows = (np.concatenate(pair) for pair in zip(rows, vertex_rows(fous)))
-    return ConsequentRows(*rows, at)
+    slots = objective.slots or range(1, len(rules[0].antecedents) + 1)
+    auto = []  # rule positions of the ``auto`` entries
+    for i, entry in enumerate(names):
+        if entry == AUTO:
+            auto.append(i)
+            names[i] = rules[i].antecedents[0]  # any codebook word: its row is replaced below
+        elif entry == AUTO_WORD:
+            antecedents = [rules[i].antecedents[j - 1] for j in slots]
+            names[i] = synthesize_consequent(antecedents, cb, scb.d).word
+    at, (umf, lmf, lmf_h) = scb.positions(names), scb.rows
+    if auto:
+        words = scb.positions(chain.from_iterable(rules[i].antecedents for i in auto))
+        words = words.reshape(len(auto), -1)[:, np.subtract(slots, 1)]  # (E, s)
+        at[auto] = len(umf) + np.arange(len(auto))
+        out, h = _average_rows(np.ones(len(slots)), umf[words], lmf[words], lmf_h[words])
+        umf, lmf = np.concatenate((umf, out[0])), np.concatenate((lmf, out[1]))
+        lmf_h = np.concatenate((lmf_h, h))
+    return ConsequentRows(umf, lmf, lmf_h, at)
 
 
 # ---------------------------------------------------------------------------

@@ -550,15 +550,71 @@ class TestExitCodes:
             assert (code, err) == (0, "")
             assert out.splitlines()[-1].startswith("ranking = ")
 
-    def test_console_entry_point(self):
+    @pytest.mark.parametrize(
+        "old,new,named",
+        [
+            ("alternative x |", "alternative |", "alternative labels"),
+            ("alternative x |", "alternative x z |", "alternative labels"),
+            ("rule r1 |", "rule |", "rule labels"),
+            ("rule r1 |", "rule r 1 |", "rule labels"),
+            ("alternative y | rules = r2 |", "alternative y |", "alternative 'y'"),
+            ("rules = r2", "rules =", "alternative 'y'"),
+            ("objective = p min", "objective = p sideways", "objective 'p'"),
+        ],
+        ids=["empty-alternative-label", "two-word-alternative-label", "empty-rule-label",
+             "two-word-rule-label", "no-rules-field", "empty-rules", "objective-direction"],
+    )
+    def test_data_error_bad_label_rule_base_or_objective(self, capsys, tmp_path, old, new, named):
+        # a label is one report cell, so a blank or two-word label would shift the csv columns
+        path = tmp_path / "problem.txt"
+        path.write_text(self.REPEAT_BASE.replace(old, new, 1))
+        code, out, err = run_cli(capsys, "solve", "pr", "--problem", str(path), "--format", "csv")
+        assert code == 3
+        assert out == ""
+        self.assert_one_line(err, "data")
+        assert named in err
+
+    def test_auto_consequent_without_mass_on_the_grid_solves(self, capsys, tmp_path):
+        # on a 3-point grid the ``auto`` average of A and B has no mass; only
+        # its vertices enter the output, whose centroid is defined
+        codebook = tmp_path / "codebook.txt"
+        codebook.write_text(
+            "codebook v1\nscale = 0 10\n"
+            "word C\numf = 0 0 3 4.5\nlmf = 0 0 2.5 4 0.8\n"
+            "word A\numf = 4.8 4.9 5.1 5.2\nlmf = 4.9 5.0 5.0 5.1 0.8\n"
+            "word B\numf = 9.7 9.8 10 10\nlmf = 9.8 9.9 10 10 0.8\n"
+        )
+        problem = tmp_path / "problem.txt"
+        problem.write_text(
+            "problem v1\nterms = C A B\nobjective = o max\n"
+            "rule r1 | A B | auto\nrule r2 | A B | C\n"
+            "alternative x | rules = r1 r2 | input = A B\n"
+        )
+        code, out, err = run_cli(
+            capsys, "solve", "pr", "--problem", str(problem), "--codebook", str(codebook), "--grid", "3"
+        )
+        assert (code, err) == (0, "")
+        row = next(line.split() for line in out.splitlines() if line.startswith("x "))
+        assert row[-4:] == ["5.00", "5.00", "5.00", "A"]
+
+    @staticmethod
+    def run_module(module: str) -> subprocess.CompletedProcess:
         # the child process imports the package from this checkout, installed or not
         src = str(Path(__file__).parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        out = subprocess.run(
-            [sys.executable, "-m", "lingopt.cli", "solve", "two-tuple", "--problem", "case-solop"],
+        return subprocess.run(
+            [sys.executable, "-m", module, "solve", "two-tuple", "--problem", "case-solop"],
             capture_output=True,
             text=True,
             env=env,
         )
+
+    def test_console_entry_point(self):
+        out = self.run_module("lingopt.cli")
         assert out.returncode == 0
+        assert "ranking = SS2 > SS3 > SS4 > SS1" in out.stdout
+
+    def test_package_runs_as_module(self):
+        out = self.run_module("lingopt")
+        assert (out.returncode, out.stderr) == (0, "")
         assert "ranking = SS2 > SS3 > SS4 > SS1" in out.stdout

@@ -63,6 +63,19 @@ class TestBundles:
         with pytest.raises(ProblemError, match="duplicate alternative"):
             ProblemBundle("x", (Objective("f"),), (alt, alt), ("f",), ("VP", "P"))
 
+    @pytest.mark.parametrize("label", ["", "a b", "a\tb"])
+    @pytest.mark.parametrize("kind", ["alternative", "rule"])
+    def test_labels_are_single_tokens(self, kind, label):
+        rule = Rule(label if kind == "rule" else "r", ("VP",), ("VP",))
+        alt = Alternative(label if kind == "alternative" else "a", (rule,), ("VP",))
+        with pytest.raises(ProblemError, match=f"{kind} labels must be single tokens"):
+            ProblemBundle("x", (Objective("f"),), (alt,), ("f",), ("VP", "P"))
+
+    def test_empty_rule_base_is_a_problem_error(self):
+        alt = Alternative("a", (), ("VP",))
+        with pytest.raises(ProblemError, match="alternative 'a': rule base must contain"):
+            ProblemBundle("x", (Objective("f"),), (alt,), ("f",), ("VP", "P"))
+
 
 class TestPrBundle:
     def test_solop_ranking(self, hma, ia):

@@ -3,8 +3,10 @@ import pytest
 
 from conftest import assert_alpha_cuts_are_weighted_averages
 from lingopt.fuzzy import DomainError
+import lingopt.reasoning as reasoning
 from lingopt.reasoning import (
     AUTO,
+    AUTO_WORD,
     NoRuleFiredError,
     Objective,
     Rule,
@@ -222,6 +224,28 @@ class TestSolve:
         f1, f2 = solve_molop(rb, ("A", "G"), hma)
         np.testing.assert_allclose(f1.fou.umf.vertices, hma.word("A").umf.vertices, atol=1e-9)
         np.testing.assert_allclose(f2.fou.umf.vertices, hma.word("G").umf.vertices, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "entries,extra",
+        [((AUTO, AUTO, AUTO), 0), ((AUTO, AUTO_WORD, AUTO), 2)],
+        ids=["auto", "auto-word"],
+    )
+    def test_only_output_and_auto_word_fous_are_sampled(self, hma, monkeypatch, entries, extra):
+        # an ``auto`` entry is averaged from codebook rows; an ``auto-word``
+        # entry is sampled once for the centroid its decoded word comes from
+        calls = {}
+        for name in ("sample_word", "centroid_sampled"):
+            def counted(*args, _fn=getattr(reasoning, name), _name=name):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args)
+
+            monkeypatch.setattr(reasoning, name, counted)
+        rb = RuleBase(
+            (Rule("r1", ("A", "G", "P"), entries), Rule("r2", ("A", "G", "VG"), entries)),
+            (Objective("f1"), Objective("f2", slots=(1, 3)), Objective("f3", slots=(2, 2))),
+        )
+        solve_molop(rb, ("A", "G", "P"), hma)
+        assert calls == {"sample_word": 3 + extra, "centroid_sampled": 3 + extra}
 
 
 class TestConsequentSearch:
