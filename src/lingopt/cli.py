@@ -18,6 +18,7 @@ from pathlib import Path
 
 from . import tsukamoto as tsk
 from .codebook import (
+    MAX_GRID,
     STUDENT_ENDPOINTS,
     CodebookError,
     EndpointSpecError,
@@ -39,7 +40,6 @@ from .similarity import DegenerateWordError
 from .twotuple import OutOfScaleError, overflow_check
 
 USAGE_ERROR, DATA_ERROR, ENGINE_ERROR = 2, 3, 4
-MAX_GRID = 1_000_001  # largest --grid accepted; the accuracy reference grid has 100001 points
 MAX_SAMPLE_N = 100_000  # most data intervals `sample` draws per word
 
 

@@ -30,24 +30,29 @@ magnitude.
 
 A loaded codebook arrives sampled on its default grid: each word is sampled
 once, which refuses a word off the scale, and its centroid is computed from
-that sample; a cached centroid more than 0.05 away from it is refused.
+that sample; a cached centroid more than 0.05 away from it is refused.  The
+samples are kept as two dense V x N arrays, so a codebook of V words on an
+N-point grid is refused when V x N exceeds ``MAX_CELLS``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Collection, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from .fuzzy import DomainError, Interval, IT2Word, LingoptError, Trapezoid, vertex_rows
-from .similarity import Centroid, Discretization, centroid_sampled, jaccard_sampled, sample_word
+from .similarity import (Centroid, Discretization, SampledWord, centroid_sampled, jaccard_sampled,
+                         sample_word)
 
 GENERATOR_NAME = "pcg64"  # numpy default_rng
 CENTROID_CACHE_TOL = 0.05  # fixture centroids are printed to 2 decimals
 MAX_SCALE_END = 1e300  # 1e6 grid points x 1e300 stays finite, and so does hi - lo
+MAX_GRID = 1_000_001  # largest --grid accepted; the accuracy reference grid has 100001 points
+MAX_CELLS = 25 * MAX_GRID  # most V x N cells a sampled codebook holds: 400 MB for its two arrays
 
 
 class CodebookError(LingoptError, ValueError):
@@ -150,13 +155,18 @@ class SampledCodebook:
     word position, with a V x V matrix of the Jaccard similarities compared
     so far.
 
-    Each word is stored as a ``SampledWord``: its memberships on the grid
-    points of its support only.  Building it runs the on-scale check of
-    ``sample_word`` on every word, so a grid that does not cover the codebook
-    raises ``DomainError`` here.  ``rows`` stacks the words' UMF and LMF
-    vertices as (V, 4) arrays and their LMF heights as a (V,) array.
-    ``jaccard[x, y]`` is NaN until the pair (x, y) is first asked for, so no
-    V x V comparisons are made up front.
+    ``upper`` and ``lower`` hold the words' memberships as two dense (V, N)
+    arrays, zero outside each word's support, and ``mass`` the (V,) sums of
+    both rows, so a decode scores every word in one array operation.  They
+    are the only copy: ``words`` holds each word as a ``SampledWord`` whose
+    memberships are views of its rows over its support, which the firing
+    kernel and the centroids compare.  Building it refuses more than
+    ``MAX_CELLS`` cells per array before allocating any, then runs the
+    on-scale check of ``sample_word`` on every word, so a grid that does not
+    cover the codebook raises ``DomainError`` here.  ``rows`` stacks the
+    words' UMF and LMF vertices as (V, 4) arrays and their LMF heights as a
+    (V,) array.  ``jaccard[x, y]`` is NaN until the pair (x, y) is first
+    asked for, so no V x V comparisons are made up front.
 
     It holds no reference to the codebook that keeps it: that would be a
     cycle, and a dropped codebook would wait for the cyclic garbage
@@ -164,11 +174,26 @@ class SampledCodebook:
     """
 
     def __init__(self, cb: Codebook, d: Discretization):
+        v = len(cb.words)
+        if v * d.points > MAX_CELLS:
+            raise DomainError(
+                f"{v} words on a {d.points}-point grid need {v * d.points} cells per membership "
+                f"array, more than the budget of {MAX_CELLS}"
+            )
         self.names, self.d = cb.names, d
         self._positions = cb._positions
-        self.words = tuple(sample_word(w, d) for w in cb.words)  # vocabulary order
+        self.upper, self.lower = np.zeros((v, d.points)), np.zeros((v, d.points))
+        self.words = tuple(map(self._store, range(v), cb.words))  # vocabulary order
+        self.mass = np.array([s.mass for s in self.words])
         self.rows = vertex_rows(cb.words)  # (umf, lmf, lmf_h), the rows an LWA averages
-        self.jaccard = np.full((len(cb.words), len(cb.words)), np.nan)
+        self.jaccard = np.full((v, v), np.nan)
+
+    def _store(self, v: int, w: IT2Word) -> SampledWord:
+        """Sample ``w`` into row ``v``; the sample returned views that row."""
+        s = sample_word(w, self.d)
+        support = slice(s.start, s.start + s.xs.size)
+        self.upper[v, support], self.lower[v, support] = s.upper, s.lower
+        return replace(s, lower=self.lower[v, support], upper=self.upper[v, support])
 
     def positions(self, names: Iterable[str]) -> np.ndarray:
         """Vocabulary positions of ``names``, in order."""
@@ -188,6 +213,19 @@ class SampledCodebook:
                 self.jaccard[x, y] = jaccard_sampled(self.words[x], self.words[y])
             sims = self.jaccard[xs, ys]
         return sims
+
+    def scores(self, s: SampledWord) -> np.ndarray:
+        """Jaccard similarity of ``s`` to every word, in vocabulary order.
+
+        The sum-ratio of ``jaccard_sampled``, taken over the dense rows on
+        the support of ``s``: its sums also run over zeros, so a score may
+        differ from ``jaccard_sampled``'s in the last bits.
+        """
+        support = slice(s.start, s.start + s.xs.size)
+        num = (np.minimum(self.upper[:, support], s.upper).sum(axis=1)
+               + np.minimum(self.lower[:, support], s.lower).sum(axis=1))
+        den = self.mass + s.mass - num
+        return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ within one alternative given twice is refused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
@@ -70,6 +70,8 @@ class ProblemBundle:
     ranking: tuple[str, ...]  # objective names in tie-break priority order
     terms: tuple[str, ...]
     codebook_id: str = "paper-hma"
+    # each alternative's rules under the objectives, validated on construction
+    rule_bases: tuple[RuleBase, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = [o.name for o in self.objectives]
@@ -87,27 +89,20 @@ class ProblemBundle:
         labels = [alt.label for alt in self.alternatives]
         if len(set(labels)) != len(labels):
             raise ProblemError(f"duplicate alternative labels: {labels}")
+        rule_bases = []
         for alt in self.alternatives:
             _check_label("alternative", alt.label)
             for rule in alt.rules:
                 _check_label("rule", rule.label)
             try:
-                RuleBase(alt.rules, self.objectives)  # dimension checks
+                rule_bases.append(RuleBase(alt.rules, self.objectives))
             except DomainError as e:
                 raise ProblemError(f"alternative {alt.label!r}: {e}") from None
-            n = len(alt.rules[0].antecedents)
-            if not n:
-                raise ProblemError(f"alternative {alt.label!r}: its rules have no antecedents")
-            for o in self.objectives:
-                if o.slots and max(o.slots) > n:
-                    raise ProblemError(
-                        f"objective {o.name!r}: slot {max(o.slots)} is past the "
-                        f"{n} antecedents of alternative {alt.label!r}"
-                    )
-            if alt.input is not None and len(alt.input) != n:
+            if alt.input is not None and len(alt.input) != len(alt.rules[0].antecedents):
                 raise ProblemError(
                     f"alternative {alt.label!r}: input length does not match antecedents"
                 )
+        object.__setattr__(self, "rule_bases", tuple(rule_bases))
 
 
 # ---------------------------------------------------------------------------
@@ -135,12 +130,11 @@ def solve_pr_bundle(
     d: Optional[Discretization] = None,
 ) -> PrBundleResult:
     outputs: dict[str, list[PrOutput]] = {}
-    for alt in bundle.alternatives:
+    for alt, rb in zip(bundle.alternatives, bundle.rule_bases):
         if alt.input is None:
             raise EngineMismatchError(
                 f"alternative {alt.label!r} has no input vector to fire the rules with"
             )
-        rb = RuleBase(alt.rules, bundle.objectives)
         outputs[alt.label] = solve_molop(rb, alt.input, cb, d)
     means = {label: [o.centroid.mean for o in outs] for label, outs in outputs.items()}
     return PrBundleResult(outputs, _rank(bundle, means))

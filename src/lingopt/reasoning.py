@@ -8,22 +8,25 @@ firings and trapezoidal FOUs the average is itself a trapezoid, computed
 exactly from the vertices: the UMF is the firing-weighted average of the
 consequent UMFs, and the LMF the weighted average of the consequent LMFs cut
 at h, the smallest fired-consequent LMF height.  ``decode`` maps the output
-FOU back to a codebook word.
+FOU back to the codebook word it is most Jaccard-similar to.
 
 Inputs, antecedents and decoded words all come from one codebook, so it is
 sampled once per grid: ``Codebook.sampled`` keeps a ``SampledCodebook``,
-which holds each word's memberships on the grid points of its support only,
-its vertices as arrays indexed by word position, and a lazily filled V x V
+which holds the words' memberships as two dense (V, N) arrays, their
+vertices as arrays indexed by word position, and a lazily filled V x V
 matrix of Jaccard similarities, for every solve on that codebook and grid.
 A solve compiles its rules to word positions: an (R, n) array of
 antecedents, whose firings are one gather from the matrix and one minimum
 per row, and per objective an (R,) array of consequent rows, which ``lwa``
-averages as one firing-weighted array product.  ``auto`` consequents add
-rows of their own: the equal-weight averages of their antecedents' codebook
-rows, all of an objective's taken as one batch by the kernel ``lwa`` uses.
-Only the output FOUs, and the FOUs synthesised for ``auto-word`` entries to
-decode, are sampled afresh, each on its own support.  ``fire`` and
-``decode`` run the same code through ``Codebook.sampled``.
+averages as one firing-weighted array product.  ``auto`` and ``auto-word``
+consequents are the equal-weight averages of their antecedents' codebook
+rows, all of an objective's taken as one batch by the kernel ``lwa`` uses;
+an ``auto`` entry adds its average as a row, and an ``auto-word`` entry the
+row of the word nearest its average's centroid.  Only the output FOUs and
+the ``auto-word`` averages are sampled afresh, each on its own support.  A
+decode scores an output against every word at once, from the dense arrays
+over the output's support.  ``fire`` and ``decode`` run the same code
+through ``Codebook.sampled``.
 """
 
 from __future__ import annotations
@@ -36,14 +39,7 @@ import numpy as np
 
 from .codebook import Codebook, SampledCodebook
 from .fuzzy import DomainError, IT2Word, NoRuleFiredError, Trapezoid, vertex_rows
-from .similarity import (
-    Centroid,
-    Discretization,
-    SampledWord,
-    centroid_sampled,
-    jaccard_sampled,
-    sample_word,
-)
+from .similarity import Centroid, Discretization, SampledWord, centroid_sampled, sample_word
 
 AUTO = "auto"  # consequent synthesised from antecedents, kept as a raw FOU
 AUTO_WORD = "auto-word"  # synthesised, then decoded to the nearest codebook word
@@ -78,6 +74,9 @@ class Objective:
 
 @dataclass(frozen=True)
 class RuleBase:
+    """Rules sharing one antecedent count n >= 1 and one consequent per
+    objective; every objective slot lies in 1..n."""
+
     rules: tuple[Rule, ...]
     objectives: tuple[Objective, ...]
 
@@ -88,11 +87,19 @@ class RuleBase:
             raise DomainError("rule base must declare at least one objective")
         n = len(self.rules[0].antecedents)
         q = len(self.objectives)
+        if not n:
+            raise DomainError("rules must have at least one antecedent")
         for r in self.rules:
             if len(r.antecedents) != n:
                 raise DomainError(f"rule {r.label!r}: expected {n} antecedents")
             if len(r.consequents) != q:
                 raise DomainError(f"rule {r.label!r}: expected {q} consequents")
+        for o in self.objectives:
+            for slot in o.slots or ():
+                if not 1 <= slot <= n:
+                    raise DomainError(
+                        f"objective {o.name!r}: slot {slot} is outside the {n} antecedents of the rules"
+                    )
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +166,13 @@ def lwa(consequents: Union[Sequence[IT2Word], ConsequentRows], firings: Sequence
     # only the fired rows enter the products: a zero-weight row would still
     # change the order in which they are summed
     at = rows.at[fired][None]
-    out, h = _average_rows(firings[fired], rows.umf[at], rows.lmf[at], rows.lmf_h[at])
-    (umf,), (lmf,) = out.tolist()
-    return IT2Word("", Trapezoid(*umf, 1.0), Trapezoid(*lmf, float(h[0])))
+    return _word(*_average_rows(firings[fired], rows.umf[at], rows.lmf[at], rows.lmf_h[at]), 0)
+
+
+def _word(out: np.ndarray, h: np.ndarray, b: int) -> IT2Word:
+    """Average ``b`` of those ``_average_rows`` returns, as a trapezoid word."""
+    umf, lmf = out[:, b].tolist()
+    return IT2Word("", Trapezoid(*umf, 1.0), Trapezoid(*lmf, float(h[b])))
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +224,7 @@ def _best(names: Sequence[str], scores: Sequence[float]) -> str:
 
 
 def _decode_jaccard(s: SampledWord, scb: SampledCodebook) -> str:
-    return _best(scb.names, [jaccard_sampled(s, w) for w in scb.words])
+    return _best(scb.names, scb.scores(s).tolist())
 
 
 def _decode_mean(mean: float, cb: Codebook) -> str:
@@ -251,30 +262,33 @@ def _consequent_rows(rules: Sequence[Rule], k: int, objective: Objective, cb: Co
                      scb: SampledCodebook) -> ConsequentRows:
     """The rules' k-th consequents as rows of the codebook's vertex arrays.
 
-    ``auto`` entries are rows appended after them: the equal-weight averages
-    of their antecedent rows at the objective's slots, all taken as one
-    batch.  Only ``auto-word`` entries are synthesised as FOUs, since their
-    decoded word is what enters the average.
+    ``auto`` and ``auto-word`` entries are averaged from their antecedent
+    rows at the objective's slots, all taken as one equal-weight batch.  An
+    ``auto`` entry's average is a row appended after the codebook's; an
+    ``auto-word`` entry's is sampled and reduced to its centroid, and the
+    entry takes the row of the word nearest that centroid's mean.
     """
     names = [r.consequents[k] for r in rules]
-    slots = objective.slots or range(1, len(rules[0].antecedents) + 1)
-    auto = []  # rule positions of the ``auto`` entries
-    for i, entry in enumerate(names):
-        if entry == AUTO:
+    synth = [i for i, entry in enumerate(names) if entry in (AUTO, AUTO_WORD)]
+    umf, lmf, lmf_h = scb.rows
+    if not synth:
+        return ConsequentRows(umf, lmf, lmf_h, scb.positions(names))
+    slots = np.subtract(objective.slots or range(1, len(rules[0].antecedents) + 1), 1)
+    words = scb.positions(chain.from_iterable(rules[i].antecedents for i in synth))
+    words = words.reshape(len(synth), -1)[:, slots]  # (E, s)
+    out, h = _average_rows(np.ones(len(slots)), umf[words], lmf[words], lmf_h[words])
+    auto, rows = [], []  # rule positions and batch rows of the ``auto`` entries
+    for e, i in enumerate(synth):
+        if names[i] == AUTO:
             auto.append(i)
+            rows.append(e)
             names[i] = rules[i].antecedents[0]  # any codebook word: its row is replaced below
-        elif entry == AUTO_WORD:
-            antecedents = [rules[i].antecedents[j - 1] for j in slots]
-            names[i] = synthesize_consequent(antecedents, cb, scb.d).word
-    at, (umf, lmf, lmf_h) = scb.positions(names), scb.rows
-    if auto:
-        words = scb.positions(chain.from_iterable(rules[i].antecedents for i in auto))
-        words = words.reshape(len(auto), -1)[:, np.subtract(slots, 1)]  # (E, s)
-        at[auto] = len(umf) + np.arange(len(auto))
-        out, h = _average_rows(np.ones(len(slots)), umf[words], lmf[words], lmf_h[words])
-        umf, lmf = np.concatenate((umf, out[0])), np.concatenate((lmf, out[1]))
-        lmf_h = np.concatenate((lmf_h, h))
-    return ConsequentRows(umf, lmf, lmf_h, at)
+        else:
+            names[i] = _decode_mean(centroid_sampled(sample_word(_word(out, h, e), scb.d)).mean, cb)
+    at = scb.positions(names)
+    at[auto] = len(umf) + np.array(rows, dtype=np.intp)
+    umf, lmf = np.concatenate((umf, out[0])), np.concatenate((lmf, out[1]))
+    return ConsequentRows(umf, lmf, np.concatenate((lmf_h, h)), at)
 
 
 # ---------------------------------------------------------------------------

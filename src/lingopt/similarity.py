@@ -10,7 +10,10 @@ sum-ratio form for interval type-2 sets:
 with u/l the upper and lower memberships sampled on the grid.  ``sample_word``
 is the only way a word is put on a grid: on the points of its support, where
 its memberships can be nonzero.  ``jaccard_sampled`` and ``centroid_sampled``
-are the kernels that compare two such samples and reduce one to its centroid.
+are the kernels that compare two such samples over their overlap and reduce
+one to its centroid.  A ``SampledCodebook`` (``codebook`` module) copies its
+words' samples into dense V x N rows and scores a decode against all of them
+at once by the same sum-ratio; its per-word samples are views of those rows.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ import pytest
 from lingopt.codebook import load_codebook
 from lingopt.fuzzy import DomainError, Interval, IT2Word, NoRuleFiredError, Trapezoid, alpha_cut
 from lingopt.reasoning import AUTO, AUTO_WORD
-from lingopt.similarity import Centroid, centroid_ekm_from_samples, jaccard, sample_word
+from lingopt.similarity import Centroid, centroid_ekm_from_samples, jaccard, jaccard_sampled, sample_word
 
 
 @pytest.fixture(scope="session")
@@ -155,6 +155,21 @@ def nearest_mean_oracle(mean: float, cb) -> str:
         elif gap <= best_gap + 1e-12:
             best = w.name
     return best
+
+
+def decode_oracle(s, cb, d):
+    """Decode oracle, one word at a time: ``jaccard_sampled`` of the sampled
+    output ``s`` against each word sampled afresh on ``d``.  Within 1e-12 of
+    the best so far is a tie, and a tie goes to the later word.  Returns the
+    decoded name and every word's score."""
+    scores = [jaccard_sampled(s, sample_word(w, d)) for w in cb.words]
+    best, best_score = None, -np.inf
+    for name, score in zip(cb.names, scores):
+        if best is None or score > best_score + 1e-12:
+            best, best_score = name, score
+        elif score >= best_score - 1e-12:
+            best = name
+    return best, scores
 
 
 def solve_oracle(rules, objectives, inputs, cb, d):

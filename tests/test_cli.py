@@ -1,6 +1,8 @@
+import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,37 @@ from lingopt.cli import MAX_GRID, MAX_SAMPLE_N, main
 from lingopt.codebook import format_codebook, load_codebook
 
 GOLDEN = Path(__file__).parent / "golden"
+
+# sha256 of every `solve pr` report on the case studies, pinned from the
+# engine's output so that a change to the numerics cannot alter a printed
+# byte unnoticed
+PR_REPORT_SHA256 = {
+    ("case-solop", "paper-hma", 201, "table"): "33ead112e171624e0a68fc1cb45446f6527da71a24bf4ca7a2857ca76d772d72",
+    ("case-solop", "paper-hma", 201, "csv"): "639a78e6d80d27593205ca46bc74b5cf28f562c8fe12440e27c4645c93002829",
+    ("case-solop", "paper-hma", 1001, "table"): "3f753b7b891f0a42a83cb608c5d7a84897b64d1ca4d2a860ae02a5e0358baac5",
+    ("case-solop", "paper-hma", 1001, "csv"): "dd896ebab51ba99fa48084aee7968e74a232e395aa93abbd989a5fe8a86d3d90",
+    ("case-solop", "paper-hma", 10001, "table"): "76d26dce4a9d0bcfb1cbd43be926c457d644d6feb202733ee320606bec74c7c7",
+    ("case-solop", "paper-hma", 10001, "csv"): "cf51fb5781e23e96abb4b0d371631ea36846d64561befadaa3dadc32cf4fb2e0",
+    ("case-solop", "paper-ia", 201, "table"): "92e99f8718a52867bd0d726de31f5f9cd6f4e5bdd8275328f6da4e908b1d2091",
+    ("case-solop", "paper-ia", 201, "csv"): "719a749de6c26bc30e901e76182870a77031addfeaff7aa5959ae081cd7f3281",
+    ("case-solop", "paper-ia", 1001, "table"): "b460477018be26269fd1c9dc5e90ac40c7f2fa69726711bfe4f0ddfbcb68a7ec",
+    ("case-solop", "paper-ia", 1001, "csv"): "a44a2ee82eb96b8b1ba2be07dd45bb10dd5f4c7e06858cfccca71d801016708c",
+    ("case-solop", "paper-ia", 10001, "table"): "03bc5efe8cd7172db6b56605e0e02c7fe1c2ee0e0a87ee108b680a08efed872b",
+    ("case-solop", "paper-ia", 10001, "csv"): "3e792a39c5cf88ddef21cd61e078fdfa263f806e8b59d2593ebde72784235e51",
+    ("case-molop", "paper-hma", 201, "table"): "43905e2ced3b294fa34bbca28c251a7464a8b7359eefab3666a9d4e167c8e1f1",
+    ("case-molop", "paper-hma", 201, "csv"): "cd81a1ba119b243236cce8ce4c021459524f61e79a3b7279b358778659a48528",
+    ("case-molop", "paper-hma", 1001, "table"): "83248261bbd84fb570291fd9f35d98aec77e45d1522d75faa3711bfa983b2173",
+    ("case-molop", "paper-hma", 1001, "csv"): "e58359c253de0f5fb41a119e4d39b19345143fedb83b1e8a86888ee0c94c57e1",
+    ("case-molop", "paper-hma", 10001, "table"): "4e8139c678b3c4992390642301f25e88e460d67e8d4b731f3147c17020738afd",
+    ("case-molop", "paper-hma", 10001, "csv"): "97471c4d3bf5b224aa0ba71061f4688ca31452382a638f9c9883d75335340568",
+    ("case-molop", "paper-ia", 201, "table"): "57a30baaebc8bdda16cf7575e193cd67ab4c2552f4d402a66fb16684a128f6f2",
+    ("case-molop", "paper-ia", 201, "csv"): "95137409e9e4c2564102bf216f374a5ec3ede05ac174b84b6d33a0082b6260a3",
+    ("case-molop", "paper-ia", 1001, "table"): "848deafc7c27bad681dfc9387e53f1f9bd32c39c2bea896408714caead319d30",
+    ("case-molop", "paper-ia", 1001, "csv"): "f0e34efacb5a81c9d39b508059eeb703f1f43c135561a3c99c6c7259f87761d6",
+    ("case-molop", "paper-ia", 10001, "table"): "67f9387fc1d8abe16b03c085403226139a1f763cf32b5d1e8678c5a33e4063d0",
+    ("case-molop", "paper-ia", 10001, "csv"): "49c94b05d7c77977b0eaedaee329294ed39c5f8ebaa2fc2cbf17b5ac8ac23cea",
+}
+EXPORT_FOU_CASE_MOLOP_SHA256 = "4466205a023c94c9827737aa671d1c05583970d6236acb53351bef978e12e7fe"
 
 
 def run_cli(capsys, *argv):
@@ -44,6 +77,19 @@ class TestGoldenReports:
         code, out, _ = run_cli(capsys, "solve", "tsukamoto", "--problem", problem)
         assert code == 0
         assert out == golden.read_text()
+
+    @pytest.mark.parametrize("problem,codebook,grid,fmt", sorted(PR_REPORT_SHA256))
+    def test_pr_report_bytes(self, capsys, problem, codebook, grid, fmt):
+        code, out, _ = run_cli(capsys, "solve", "pr", "--problem", problem, "--codebook", codebook,
+                               "--grid", str(grid), "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == PR_REPORT_SHA256[problem, codebook, grid, fmt]
+
+    def test_export_fou_problem_bytes(self, capsys):
+        code, out, _ = run_cli(capsys, "export-fou", "--codebook", "paper-hma", "--problem", "case-molop",
+                               "--out", "-")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == EXPORT_FOU_CASE_MOLOP_SHA256
 
     def test_repeat_invocations_byte_identical(self, capsys):
         argv = ["solve", "pr", "--problem", "case-molop", "--codebook", "paper-hma"]
@@ -333,6 +379,33 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         self.assert_one_line(err, "data")
+
+    def test_error_codebook_past_the_cell_budget(self, capsys, tmp_path):
+        # 26 words at the largest grid would need two 26 x MAX_GRID arrays
+        # (416 MB); the product is refused before either is allocated
+        codebook = tmp_path / "codebook.txt"
+        codebook.write_text("codebook v1\n" + "".join(
+            f"word W{i}\numf = {0.3 * i} {0.3 * i + 0.5} {0.3 * i + 0.5} {0.3 * i + 1}\n"
+            f"lmf = {0.3 * i + 0.25} {0.3 * i + 0.5} {0.3 * i + 0.5} {0.3 * i + 0.75} 0.5\n"
+            for i in range(26)
+        ))
+        problem = tmp_path / "problem.txt"
+        problem.write_text(
+            "problem v1\nterms = W0 W1\nobjective = o max\n"
+            "rule r | W0 | W0\nalternative a | rules = r | input = W0\n"
+        )
+        argv = ["solve", "pr", "--problem", str(problem), "--codebook", str(codebook), "--grid", str(MAX_GRID)]
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert out == ""
+        assert err.startswith("lingopt: error:") and err.count("\n") == 1
+        assert "more than the budget" in err
+        assert peak < 20e6
 
     @staticmethod
     def ranking_problem(tmp_path, objectives, ranking, x_consequents, y_consequents) -> str:

@@ -1,4 +1,5 @@
 import gc
+import sys
 import weakref
 from dataclasses import replace
 
@@ -22,9 +23,10 @@ from lingopt.codebook import (
     sample_person_fou,
     save_codebook,
 )
-from lingopt.fuzzy import Interval, IT2Word, Trapezoid
+from lingopt.fuzzy import DomainError, Interval, IT2Word, Trapezoid
+from lingopt.problems import case_molop, solve_pr_bundle
 from lingopt.reasoning import Rule, fire_rules
-from lingopt.similarity import centroid_ekm, centroid_sampled, jaccard
+from lingopt.similarity import centroid_ekm, centroid_sampled, jaccard, jaccard_sampled, sample_word
 
 # Printed FOU data for the two fixture codebooks: every vertex and height.
 HMA_EXPECTED = {
@@ -130,6 +132,55 @@ class TestSampledCodebook:
             fire_rules(rules, ("XX", "G"), scb)
         assert compared == []
         assert set(zip(*np.nonzero(~np.isnan(scb.jaccard)))) == fired
+
+
+class TestDenseMemberships:
+    def test_words_view_one_dense_pair(self, hma):
+        scb = replace(hma).sampled(hma.discretization(201))
+        assert scb.upper.shape == scb.lower.shape == (5, 201)
+        for v, (w, s) in enumerate(zip(hma.words, scb.words)):
+            support = slice(s.start, s.start + s.xs.size)
+            fresh = sample_word(w, scb.d)
+            for dense, sampled, mf in ((scb.upper, s.upper, "upper"), (scb.lower, s.lower, "lower")):
+                assert sampled.base is dense  # a view of its row, not a copy
+                assert sampled.tolist() == getattr(fresh, mf).tolist()
+                row = dense[v].copy()
+                row[support] = 0.0
+                assert not row.any()  # zero outside the support
+            assert scb.mass[v] == s.mass == fresh.mass
+
+    def test_pair_table_after_a_solve_is_fresh_jaccard_bitwise(self, hma):
+        cb = replace(hma)
+        solve_pr_bundle(case_molop(), cb)
+        scb = cb.sampled()
+        pairs = list(zip(*np.nonzero(~np.isnan(scb.jaccard))))
+        assert pairs
+        for x, y in pairs:
+            fresh = jaccard_sampled(sample_word(cb.words[x], scb.d), sample_word(cb.words[y], scb.d))
+            assert scb.jaccard[x, y].hex() == fresh.hex()
+
+    def test_warmed_solve_compares_no_word_pair(self, hma, monkeypatch):
+        cb = replace(hma)
+        first = solve_pr_bundle(case_molop(), cb)
+
+        def refuse(a, b):
+            raise AssertionError("jaccard_sampled called on a warmed solve")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("lingopt") and hasattr(module, "jaccard_sampled"):
+                monkeypatch.setattr(module, "jaccard_sampled", refuse)
+        again = solve_pr_bundle(case_molop(), cb)
+        assert again.ranking == first.ranking
+        for label, outs in first.outputs.items():
+            assert [o.decoded for o in again.outputs[label]] == [o.decoded for o in outs]
+
+    def test_cell_budget_is_checked_before_allocating(self, hma, monkeypatch):
+        monkeypatch.setattr(codebook, "MAX_CELLS", 5 * 201)
+        cb = replace(hma)
+        assert cb.sampled(cb.discretization(201)).upper.shape == (5, 201)
+        monkeypatch.setattr(np, "zeros", lambda *args, **kw: pytest.fail("allocated past the budget"))
+        with pytest.raises(DomainError, match="more than the budget of 1005"):
+            cb.sampled(cb.discretization(202))
 
 
 class TestSampling:

@@ -1,5 +1,6 @@
 import pytest
 
+from lingopt import problems
 from lingopt.problems import (
     Alternative,
     EngineMismatchError,
@@ -71,6 +72,12 @@ class TestBundles:
         with pytest.raises(ProblemError, match=f"{kind} labels must be single tokens"):
             ProblemBundle("x", (Objective("f"),), (alt,), ("f",), ("VP", "P"))
 
+    @pytest.mark.parametrize("slot", [0, 3])
+    def test_slot_outside_the_rules_names_the_alternative(self, slot):
+        alt = Alternative("a", (Rule("r", ("A", "VG"), ("auto",)),), ("A", "VG"))
+        with pytest.raises(ProblemError, match=f"alternative 'a': objective 'f': slot {slot} is outside"):
+            ProblemBundle("x", (Objective("f", slots=(slot,)),), (alt,), ("f",), ("VP", "P"))
+
     def test_empty_rule_base_is_a_problem_error(self):
         alt = Alternative("a", (), ("VP",))
         with pytest.raises(ProblemError, match="alternative 'a': rule base must contain"):
@@ -98,6 +105,12 @@ class TestPrBundle:
         e4 = result.outputs["SS4"][1].centroid.mean
         assert abs(e1 - e4) < 1e-9
         assert result.outputs["SS4"][0].centroid.mean > result.outputs["SS1"][0].centroid.mean
+
+    def test_solve_reuses_the_validated_rule_bases(self, hma, monkeypatch):
+        bundle = case_molop()
+        assert [rb.rules for rb in bundle.rule_bases] == [alt.rules for alt in bundle.alternatives]
+        monkeypatch.setattr(problems, "RuleBase", lambda *args: pytest.fail("rule base built again"))
+        assert solve_pr_bundle(bundle, hma).ranking == ["SS2", "SS4", "SS1", "SS3"]
 
     def test_missing_input_is_engine_mismatch(self, hma):
         with pytest.raises(EngineMismatchError):

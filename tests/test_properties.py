@@ -15,6 +15,7 @@ from conftest import (
     assert_alpha_cuts_are_weighted_averages,
     centroid_brute,
     classify_fou,
+    decode_oracle,
     jaccard_oracle,
     lwa_oracle,
     random_trapezoid,
@@ -229,6 +230,24 @@ class TestJaccardOracle:
         moved = IT2Word(w.name, translate(w.umf, offset), translate(w.lmf, offset))
         words = cb.words[:i] + (moved,) + cb.words[i + 1:]
         assert_fire_and_decode_match_oracle(replace(cb, words=words), d, rules, inputs, firings)
+
+
+class TestDenseDecode:
+    """A decode scores the output against the sampled codebook's dense rows
+    in one array operation; the oracle compares it word by word."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(oracle_codebooks(), st.sampled_from([101, 201, 1001]), st.data())
+    def test_dense_decode_matches_word_loop(self, cb, points, data):
+        d = Discretization(points, cb.scale)
+        scb = cb.sampled(d)
+        firings = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(cb.words), max_size=len(cb.words)))
+        assume(any(firings))
+        for fou in (lwa(cb.words, firings), data.draw(oracle_words("out")), *cb.words):
+            s = sample_word(fou, d)
+            word, scores = decode_oracle(s, cb, d)
+            assert decode(fou, cb, d) == word
+            np.testing.assert_allclose(scb.scores(s), scores, rtol=0.0, atol=1e-12)
 
 
 @st.composite

@@ -153,6 +153,19 @@ class TestDecode:
         assert decode(fou, hma) == "A"
 
 
+class TestRuleBase:
+    @pytest.mark.parametrize("slot", [0, 3])
+    def test_slot_outside_the_antecedents_is_refused(self, hma, slot):
+        # slot 0 once read the last antecedent, and slot 3 an index past the end
+        with pytest.raises(DomainError, match=f"slot {slot} is outside the 2 antecedents"):
+            solve_molop(RuleBase((Rule("r", ("A", "VG"), (AUTO,)),), (Objective("f", slots=(slot,)),)),
+                        ("A", "VG"), hma)
+
+    def test_rules_without_antecedents_are_refused(self):
+        with pytest.raises(DomainError, match="at least one antecedent"):
+            RuleBase((Rule("r", (), ("A",)),), (Objective("f"),))
+
+
 class TestSolve:
     def test_solop_own_rule(self, hma):
         core = ("VP", "P", "A", "A", "P")
