@@ -30,9 +30,11 @@ magnitude.
 
 A loaded codebook arrives sampled on its default grid: each word is sampled
 once, which refuses a word off the scale, and its centroid is computed from
-that sample; a cached centroid more than 0.05 away from it is refused.  The
-samples are kept as two dense V x N arrays, so a codebook of V words on an
-N-point grid is refused when V x N exceeds ``MAX_CELLS``.
+that sample; a word with no mass on that grid, or a cached centroid more
+than 0.05 away from the computed one, is refused.  The samples are kept as
+two dense V x N arrays beside a V x V similarity matrix, so a codebook of V
+words on an N-point grid is refused when V x N or V x V exceeds
+``MAX_CELLS``.
 """
 
 from __future__ import annotations
@@ -45,14 +47,14 @@ from typing import Collection, Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .fuzzy import DomainError, Interval, IT2Word, LingoptError, Trapezoid, vertex_rows
-from .similarity import (Centroid, Discretization, SampledWord, centroid_sampled, jaccard_sampled,
-                         sample_word)
+from .similarity import (Centroid, DegenerateWordError, Discretization, SampledWord, centroid_sampled,
+                         jaccard_rows, sample_word)
 
 GENERATOR_NAME = "pcg64"  # numpy default_rng
 CENTROID_CACHE_TOL = 0.05  # fixture centroids are printed to 2 decimals
 MAX_SCALE_END = 1e300  # 1e6 grid points x 1e300 stays finite, and so does hi - lo
 MAX_GRID = 1_000_001  # largest --grid accepted; the accuracy reference grid has 100001 points
-MAX_CELLS = 25 * MAX_GRID  # most V x N cells a sampled codebook holds: 400 MB for its two arrays
+MAX_CELLS = 25 * MAX_GRID  # most V x N (or V x V) cells in a sampled codebook's arrays: 200 MB each
 
 
 class CodebookError(LingoptError, ValueError):
@@ -136,7 +138,7 @@ class Codebook:
 
         The sampling is kept for the grid last asked for and returned again
         while ``d`` stays equal, so repeated solves share it and its matrix
-        of pair similarities.  One slot bounds the memory to one grid.
+        of similarities.  One slot bounds the memory to one grid.
         """
         d = d or self.discretization()
         scb = self._sampled
@@ -152,21 +154,22 @@ def _unknown_word(name: str, names: Sequence[str]) -> CodebookError:
 
 class SampledCodebook:
     """A codebook's words sampled once on one grid, as arrays indexed by
-    word position, with a V x V matrix of the Jaccard similarities compared
+    word position, with a V x V matrix of the Jaccard similarities computed
     so far.
 
     ``upper`` and ``lower`` hold the words' memberships as two dense (V, N)
     arrays, zero outside each word's support, and ``mass`` the (V,) sums of
     both rows, so a decode scores every word in one array operation.  They
     are the only copy: ``words`` holds each word as a ``SampledWord`` whose
-    memberships are views of its rows over its support, which the firing
-    kernel and the centroids compare.  Building it refuses more than
-    ``MAX_CELLS`` cells per array before allocating any, then runs the
-    on-scale check of ``sample_word`` on every word, so a grid that does not
-    cover the codebook raises ``DomainError`` here.  ``rows`` stacks the
-    words' UMF and LMF vertices as (V, 4) arrays and their LMF heights as a
-    (V,) array.  ``jaccard[x, y]`` is NaN until the pair (x, y) is first
-    asked for, so no V x V comparisons are made up front.
+    memberships are views of its rows over its support.  Building it
+    refuses more than ``MAX_CELLS`` cells in the (V, N) or the (V, V) array
+    before allocating any, then runs the on-scale check of ``sample_word``
+    on every word, so a grid that does not cover the codebook raises
+    ``DomainError`` here.  ``rows`` stacks the words' UMF and LMF vertices
+    as (V, 4) arrays and their LMF heights as a (V,) array.  Row x of
+    ``jaccard`` is NaN until word x is first an input, then filled whole by
+    ``scores``: firing and decoding run one kernel, and no row is filled
+    up front.
 
     It holds no reference to the codebook that keeps it: that would be a
     cycle, and a dropped codebook would wait for the cyclic garbage
@@ -175,10 +178,11 @@ class SampledCodebook:
 
     def __init__(self, cb: Codebook, d: Discretization):
         v = len(cb.words)
-        if v * d.points > MAX_CELLS:
+        cells = v * max(v, d.points)  # in the larger of the (V, N) and the (V, V) arrays
+        if cells > MAX_CELLS:
             raise DomainError(
-                f"{v} words on a {d.points}-point grid need {v * d.points} cells per membership "
-                f"array, more than the budget of {MAX_CELLS}"
+                f"{v} words on a {d.points}-point grid need {cells} cells in one array, more than "
+                f"the budget of {MAX_CELLS}"
             )
         self.names, self.d = cb.names, d
         self._positions = cb._positions
@@ -203,29 +207,16 @@ class SampledCodebook:
             raise _unknown_word(e.args[0], self.names) from None
 
     def similarities(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Jaccard similarities of the words at positions ``xs`` and ``ys``
-        (broadcast together); a pair not compared before is compared now."""
-        sims = self.jaccard[xs, ys]
-        missing = np.isnan(sims)
-        if missing.any():
-            xs, ys = np.broadcast_arrays(xs, ys)
-            for x, y in set(zip(xs[missing].tolist(), ys[missing].tolist())):
-                self.jaccard[x, y] = jaccard_sampled(self.words[x], self.words[y])
-            sims = self.jaccard[xs, ys]
-        return sims
+        """Jaccard similarities of the input words at positions ``xs`` to
+        the words at ``ys`` (broadcast together); an input word's row is
+        filled the first time it is asked for."""
+        for x in set(xs[np.isnan(self.jaccard[xs, 0])].tolist()):
+            self.jaccard[x] = self.scores(self.words[x])
+        return self.jaccard[xs, ys]
 
     def scores(self, s: SampledWord) -> np.ndarray:
-        """Jaccard similarity of ``s`` to every word, in vocabulary order.
-
-        The sum-ratio of ``jaccard_sampled``, taken over the dense rows on
-        the support of ``s``: its sums also run over zeros, so a score may
-        differ from ``jaccard_sampled``'s in the last bits.
-        """
-        support = slice(s.start, s.start + s.xs.size)
-        num = (np.minimum(self.upper[:, support], s.upper).sum(axis=1)
-               + np.minimum(self.lower[:, support], s.lower).sum(axis=1))
-        den = self.mass + s.mass - num
-        return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+        """Jaccard similarity of ``s`` to every word, in vocabulary order."""
+        return jaccard_rows(self.upper, self.lower, self.mass, s)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +311,13 @@ def _finish_load(cb: Codebook) -> Codebook:
         raise CodebookError(str(e)) from e
     out = []
     for w, s in zip(cb.words, scb.words):
-        computed = centroid_sampled(s)
+        try:
+            computed = centroid_sampled(s)
+        except DegenerateWordError:
+            raise CodebookError(
+                f"word {w.name!r} has no mass on the {scb.d.points}-point grid over "
+                f"[{cb.scale.lo:g}, {cb.scale.hi:g}]"
+            ) from None
         if w.centroid is None:
             w = w.with_centroid(computed)
         elif (

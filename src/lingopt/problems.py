@@ -14,8 +14,9 @@ Bundle file grammar (whitespace separated, ``#`` starts a comment)::
 A consequent entry is a word name, ``auto`` (the rule keeps the raw FOU
 synthesised from its antecedents) or ``auto-word`` (the synthesised FOU is
 decoded to the nearest codebook word first).  ``slots`` name the 1-based
-antecedent positions an objective's auto-synthesis draws from.  Rule and
-alternative labels are single tokens.  Only the ``objective`` key may
+antecedent positions an objective's auto-synthesis draws from, as a comma
+list of slots and low-high ranges; a repeated slot weights that slot.  Rule
+and alternative labels are single tokens.  Only the ``objective`` key may
 repeat; a header key, an alternative field, an alternative label or a rule
 within one alternative given twice is refused.
 """
@@ -293,7 +294,8 @@ def load_problem(source: Union[str, Path]) -> ProblemBundle:
 def _parse_slots(spec: str, antecedents: int) -> tuple[int, ...]:
     """Expand a slot spec such as ``1-3,5``.  Each range end is checked
     against ``antecedents``, the most any rule has, before the range is
-    expanded, so a huge range is refused rather than built."""
+    expanded, so a huge range is refused rather than built.  A range
+    written high to low is refused; a slot may repeat."""
     slots: list[int] = []
     for part in spec.split(","):
         lo, dash, hi = part.partition("-")
@@ -301,6 +303,8 @@ def _parse_slots(spec: str, antecedents: int) -> tuple[int, ...]:
             lo, hi = int(lo), int(hi if dash else lo)
         except ValueError:
             raise ProblemError(f"bad slot spec {spec!r}") from None
+        if lo > hi:
+            raise ProblemError(f"slot spec {spec!r}: range {part!r} runs from high to low")
         if hi > antecedents:
             raise ProblemError(
                 f"slot spec {spec!r}: slot {hi} is past the {antecedents} antecedents of the rules"

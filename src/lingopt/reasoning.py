@@ -1,7 +1,7 @@
 """Perceptual reasoning: rule firing, linguistic weighted average, decoding.
 
 Inference runs in three steps.  ``fire_rules`` scores an input word vector
-against each rule's antecedents: the minimum t-norm of pairwise Jaccard
+against each rule's antecedents: the minimum t-norm of slotwise Jaccard
 similarities, a crisp number in [0, 1].  ``lwa`` combines the fired
 consequent words through the linguistic weighted average.  With crisp
 firings and trapezoidal FOUs the average is itself a trapezoid, computed
@@ -25,8 +25,8 @@ an ``auto`` entry adds its average as a row, and an ``auto-word`` entry the
 row of the word nearest its average's centroid.  Only the output FOUs and
 the ``auto-word`` averages are sampled afresh, each on its own support.  A
 decode scores an output against every word at once, from the dense arrays
-over the output's support.  ``fire`` and ``decode`` run the same code
-through ``Codebook.sampled``.
+over the output's support, by the kernel that fills the matrix's rows.
+``fire`` and ``decode`` run the same code through ``Codebook.sampled``.
 """
 
 from __future__ import annotations
@@ -184,9 +184,9 @@ def fire_rules(rules: Sequence[Rule], inputs: Sequence[str], scb: SampledCodeboo
     similarity between input and antecedent word.
 
     The antecedents compile to an (R, n) array of word positions, and every
-    slot's similarity is read from the sampled codebook's matrix of word
-    pairs, so each (input, antecedent) pair is compared once per codebook
-    and grid, however many slots, rules and solves share it.
+    slot's similarity is read from the sampled codebook's similarity
+    matrix, so each input word's row is computed once per codebook and
+    grid, however many slots, rules and solves share it.
     """
     n = len(inputs)
     antecedents = [r.antecedents for r in rules]

@@ -9,11 +9,10 @@ sum-ratio form for interval type-2 sets:
 
 with u/l the upper and lower memberships sampled on the grid.  ``sample_word``
 is the only way a word is put on a grid: on the points of its support, where
-its memberships can be nonzero.  ``jaccard_sampled`` and ``centroid_sampled``
-are the kernels that compare two such samples over their overlap and reduce
-one to its centroid.  A ``SampledCodebook`` (``codebook`` module) copies its
-words' samples into dense V x N rows and scores a decode against all of them
-at once by the same sum-ratio; its per-word samples are views of those rows.
+its memberships can be nonzero.  ``jaccard_rows``, the one Jaccard kernel,
+scores such a sample against dense (V, N) rows over its support; firing,
+decoding and ``jaccard`` all run it, so they agree to the last bit.
+``centroid_sampled`` reduces a sample to its centroid interval.
 """
 
 from __future__ import annotations
@@ -105,31 +104,26 @@ def sample_word(w: IT2Word, d: Discretization) -> SampledWord:
     return SampledWord(start, xs, lower, upper, float(upper.sum() + lower.sum()))
 
 
-def jaccard_sampled(a: SampledWord, b: SampledWord) -> float:
-    """Jaccard measure of two words sampled on the same grid.
-
-    The minima are nonzero only where both supports overlap, and
-    sum max(p, q) = sum p + sum q - sum min(p, q), so the denominator
-    follows from the two masses.
-    """
-    start = max(a.start, b.start)
-    stop = min(a.start + a.xs.size, b.start + b.xs.size)
-    num = 0.0
-    if start < stop:
-        sa = slice(start - a.start, stop - a.start)
-        sb = slice(start - b.start, stop - b.start)
-        num = float(
-            np.minimum(a.upper[sa], b.upper[sb]).sum() + np.minimum(a.lower[sa], b.lower[sb]).sum()
-        )
-    den = a.mass + b.mass - num
-    if den <= 0.0:
-        return 0.0
-    return num / den
+def jaccard_rows(upper: np.ndarray, lower: np.ndarray, mass: np.ndarray, s: SampledWord) -> np.ndarray:
+    """Jaccard measure of ``s`` against each dense row of ``upper`` and
+    ``lower`` (V, N), whose sums are ``mass``.  The minima are nonzero only
+    on the support of ``s``, and sum max(p, q) = sum p + sum q - sum min(p, q),
+    so the denominator follows from the masses; where it is not positive the
+    score is 0."""
+    support = slice(s.start, s.start + s.xs.size)
+    num = (np.minimum(upper[:, support], s.upper).sum(axis=1)
+           + np.minimum(lower[:, support], s.lower).sum(axis=1))
+    den = mass + s.mass - num
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
 
 
 def jaccard(a: IT2Word, b: IT2Word, d: Discretization) -> float:
-    """Similarity in [0, 1]; 1 iff the FOUs coincide on the grid; symmetric."""
-    return jaccard_sampled(sample_word(a, d), sample_word(b, d))
+    """Similarity in [0, 1]; 1 iff the FOUs coincide on the grid.  The sums
+    run over ``a``'s support, so it is symmetric only up to rounding."""
+    sa, sb = sample_word(a, d), sample_word(b, d)
+    rows = np.zeros((2, 1, d.points))
+    rows[:, 0, sb.start:sb.start + sb.xs.size] = sb.upper, sb.lower
+    return float(jaccard_rows(rows[0], rows[1], np.array([sb.mass]), sa)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from lingopt.codebook import load_codebook
 from lingopt.fuzzy import DomainError, Interval, IT2Word, NoRuleFiredError, Trapezoid, alpha_cut
 from lingopt.reasoning import AUTO, AUTO_WORD
-from lingopt.similarity import Centroid, centroid_ekm_from_samples, jaccard, jaccard_sampled, sample_word
+from lingopt.similarity import Centroid, SampledWord, centroid_ekm_from_samples, jaccard, sample_word
 
 
 @pytest.fixture(scope="session")
@@ -157,12 +157,29 @@ def nearest_mean_oracle(mean: float, cb) -> str:
     return best
 
 
+def jaccard_pairwise(a: SampledWord, b: SampledWord) -> float:
+    """Jaccard oracle for two words sampled on one grid, independent of the
+    dense kernel: the minima are summed over the overlap of the two
+    supports only, and sum max(p, q) = sum p + sum q - sum min(p, q)."""
+    start = max(a.start, b.start)
+    stop = min(a.start + a.xs.size, b.start + b.xs.size)
+    num = 0.0
+    if start < stop:
+        sa = slice(start - a.start, stop - a.start)
+        sb = slice(start - b.start, stop - b.start)
+        num = float(
+            np.minimum(a.upper[sa], b.upper[sb]).sum() + np.minimum(a.lower[sa], b.lower[sb]).sum()
+        )
+    den = a.mass + b.mass - num
+    return num / den if den > 0.0 else 0.0
+
+
 def decode_oracle(s, cb, d):
-    """Decode oracle, one word at a time: ``jaccard_sampled`` of the sampled
+    """Decode oracle, one word at a time: ``jaccard_pairwise`` of the sampled
     output ``s`` against each word sampled afresh on ``d``.  Within 1e-12 of
     the best so far is a tie, and a tie goes to the later word.  Returns the
     decoded name and every word's score."""
-    scores = [jaccard_sampled(s, sample_word(w, d)) for w in cb.words]
+    scores = [jaccard_pairwise(s, sample_word(w, d)) for w in cb.words]
     best, best_score = None, -np.inf
     for name, score in zip(cb.names, scores):
         if best is None or score > best_score + 1e-12:

@@ -280,6 +280,26 @@ class TestExitCodes:
         assert out == ""
         self.assert_one_line(err, "data")
 
+    @pytest.mark.parametrize("antecedents,slots", [("A G", "1,3-1"), ("A G VG", "5-3,1")])
+    def test_data_error_reversed_slot_range(self, capsys, tmp_path, antecedents, slots):
+        # a range written high to low once expanded to nothing, and the rest of the spec solved
+        problem = tmp_path / "problem.txt"
+        problem.write_text(
+            f"problem v1\nterms = VP P A G VG\nobjective = o max slots {slots}\n"
+            f"rule r | {antecedents} | auto\nalternative x | rules = r | input = {antecedents}\n"
+        )
+        code, out, err = run_cli(capsys, "solve", "pr", "--problem", str(problem))
+        assert (code, out) == (3, "")
+        self.assert_one_line(err, "data")
+        assert repr(slots) in err
+
+    def test_repeated_slot_solves(self, capsys, tmp_path):
+        # a repeated slot weights that slot, so it stays legal
+        code, out, err = run_cli(capsys, "solve", "pr", "--problem", self.problem_file(tmp_path, "o max slots 1,1"))
+        assert (code, err) == (0, "")
+        row = next(line.split() for line in out.splitlines() if line.startswith("x "))
+        assert row[-1] == "A"  # the average of A with itself
+
     def test_data_error_non_finite_codebook_number(self, capsys, tmp_path):
         # a NaN centroid passes every centroid check, so it must not load
         text = format_codebook(load_codebook("paper-hma"))
@@ -406,6 +426,39 @@ class TestExitCodes:
         assert err.startswith("lingopt: error:") and err.count("\n") == 1
         assert "more than the budget" in err
         assert peak < 20e6
+
+    def test_error_codebook_past_the_similarity_matrix_budget(self, capsys, tmp_path):
+        # 5001 words fit the membership arrays at the default grid, but their
+        # 5001 x 5001 similarity matrix is refused before anything is allocated
+        codebook = tmp_path / "codebook.txt"
+        codebook.write_text("codebook v1\n" + "".join(
+            f"word W{i}\numf = 1 2 3 4\nlmf = 1.5 2 3 3.5 0.5\n" for i in range(5001)
+        ))
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "export-fou", "--codebook", str(codebook), "--out", "-")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (3, "")
+        self.assert_one_line(err, "data")
+        assert "5001 words" in err and "more than the budget" in err
+        assert peak < 50e6
+
+    @pytest.mark.parametrize("command", [
+        ["export-fou", "--out", "-"], ["solve", "pr", "--problem", "case-solop"],
+    ], ids=["export-fou", "solve-pr"])
+    def test_data_error_word_without_mass_on_the_load_grid(self, capsys, tmp_path, command):
+        # no point of the default 1001-point grid lies inside A's support
+        codebook = tmp_path / "codebook.txt"
+        codebook.write_text(
+            "codebook v1\nscale = 0 10\n"
+            "word A\numf = 5.0001 5.0002 5.0003 5.0004\nlmf = 5.0001 5.0002 5.0003 5.0004 0.5\n"
+        )
+        code, out, err = run_cli(capsys, *command, "--codebook", str(codebook))
+        assert (code, out) == (3, "")
+        self.assert_one_line(err, "data")
+        assert "word 'A' has no mass on the 1001-point grid over [0, 10]" in err
 
     @staticmethod
     def ranking_problem(tmp_path, objectives, ranking, x_consequents, y_consequents) -> str:

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import jaccard_pairwise
 
 from lingopt import codebook
 from lingopt.codebook import (
@@ -26,7 +27,7 @@ from lingopt.codebook import (
 from lingopt.fuzzy import DomainError, Interval, IT2Word, Trapezoid
 from lingopt.problems import case_molop, solve_pr_bundle
 from lingopt.reasoning import Rule, fire_rules
-from lingopt.similarity import centroid_ekm, centroid_sampled, jaccard, jaccard_sampled, sample_word
+from lingopt.similarity import centroid_ekm, centroid_sampled, jaccard, sample_word
 
 # Printed FOU data for the two fixture codebooks: every vertex and height.
 HMA_EXPECTED = {
@@ -78,6 +79,22 @@ class TestFixtures:
             hma.word("XX")
 
 
+def count_kernel_runs(monkeypatch) -> list:
+    """Wrap the Jaccard kernel wherever the package holds it; the returned
+    list gains one entry per run."""
+    runs = []
+    kernel = codebook.jaccard_rows
+
+    def counted(*args):
+        runs.append(args)
+        return kernel(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lingopt") and hasattr(module, "jaccard_rows"):
+            monkeypatch.setattr(module, "jaccard_rows", counted)
+    return runs
+
+
 class TestSampledCodebook:
     def test_sampling_is_kept_for_the_last_grid(self, hma):
         cb = replace(hma)  # an instance of its own: the session fixture's slot is shared
@@ -115,23 +132,24 @@ class TestSampledCodebook:
             gc.enable()
 
     def test_pair_table_holds_the_pairs_fired(self, hma, monkeypatch):
+        # the matrix fills the whole row of each input word, and no other row
         scb = replace(hma).sampled()
         assert scb.jaccard.shape == (5, 5) and np.isnan(scb.jaccard).all()
         rules = [Rule("r1", ("A", "G"), ()), Rule("r2", ("A", "VG"), ())]
         first = fire_rules(rules, ("A", "G"), scb)
-        pos = {name: i for i, name in enumerate(hma.names)}
-        fired = {(pos["A"], pos["A"]), (pos["G"], pos["G"]), (pos["G"], pos["VG"])}
-        assert set(zip(*np.nonzero(~np.isnan(scb.jaccard)))) == fired
-        assert scb.jaccard[pos["G"], pos["VG"]] == jaccard(hma.word("G"), hma.word("VG"), scb.d)
+        inputs = [hma.names.index("A"), hma.names.index("G")]
+        filled = ~np.isnan(scb.jaccard)
+        assert filled[inputs].all() and not np.delete(filled, inputs, axis=0).any()
+        assert scb.jaccard[inputs[1]].tolist() == scb.scores(scb.words[inputs[1]]).tolist()
 
-        compared = []
-        monkeypatch.setattr(codebook, "jaccard_sampled", lambda a, b: compared.append((a, b)))
+        kernel_runs = count_kernel_runs(monkeypatch)
+        table = scb.jaccard.copy()
         assert fire_rules(rules, ("A", "G"), scb).tolist() == first.tolist()
-        assert compared == []  # a second solve compares no pair again
+        assert kernel_runs == []  # a second firing fills no row again
         with pytest.raises(CodebookError, match="unknown word 'XX'"):
             fire_rules(rules, ("XX", "G"), scb)
-        assert compared == []
-        assert set(zip(*np.nonzero(~np.isnan(scb.jaccard)))) == fired
+        assert kernel_runs == []
+        np.testing.assert_array_equal(scb.jaccard, table)  # NaN rows included
 
 
 class TestDenseMemberships:
@@ -156,20 +174,19 @@ class TestDenseMemberships:
         pairs = list(zip(*np.nonzero(~np.isnan(scb.jaccard))))
         assert pairs
         for x, y in pairs:
-            fresh = jaccard_sampled(sample_word(cb.words[x], scb.d), sample_word(cb.words[y], scb.d))
-            assert scb.jaccard[x, y].hex() == fresh.hex()
+            assert scb.jaccard[x, y].hex() == jaccard(cb.words[x], cb.words[y], scb.d).hex()
+            pairwise = jaccard_pairwise(sample_word(cb.words[x], scb.d), sample_word(cb.words[y], scb.d))
+            assert abs(scb.jaccard[x, y] - pairwise) <= 1e-12
 
     def test_warmed_solve_compares_no_word_pair(self, hma, monkeypatch):
         cb = replace(hma)
         first = solve_pr_bundle(case_molop(), cb)
-
-        def refuse(a, b):
-            raise AssertionError("jaccard_sampled called on a warmed solve")
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("lingopt") and hasattr(module, "jaccard_sampled"):
-                monkeypatch.setattr(module, "jaccard_sampled", refuse)
+        table = cb.sampled().jaccard.copy()
+        kernel_runs = count_kernel_runs(monkeypatch)
         again = solve_pr_bundle(case_molop(), cb)
+        # one run per output, its decode; no row of the matrix is filled
+        assert len(kernel_runs) == sum(map(len, again.outputs.values()))
+        np.testing.assert_array_equal(cb.sampled().jaccard, table)
         assert again.ranking == first.ranking
         for label, outs in first.outputs.items():
             assert [o.decoded for o in again.outputs[label]] == [o.decoded for o in outs]
@@ -181,6 +198,15 @@ class TestDenseMemberships:
         monkeypatch.setattr(np, "zeros", lambda *args, **kw: pytest.fail("allocated past the budget"))
         with pytest.raises(DomainError, match="more than the budget of 1005"):
             cb.sampled(cb.discretization(202))
+
+    def test_too_many_words_are_refused_before_allocating(self, hma, monkeypatch):
+        # 5001 words need a 5001 x 5001 matrix, past the budget at any grid
+        w = hma.word("A")
+        cb = Codebook(hma.scale, tuple(replace(w, name=f"W{i}") for i in range(5001)))
+        for name in ("zeros", "full", "empty"):
+            monkeypatch.setattr(np, name, lambda *args, **kw: pytest.fail("allocated past the budget"))
+        with pytest.raises(DomainError, match="more than the budget of 25000025"):
+            cb.sampled(cb.discretization(3))
 
 
 class TestSampling:
