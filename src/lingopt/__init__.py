@@ -9,7 +9,6 @@ from .fuzzy import (
     LingoptError,
     NoRuleFiredError,
     Trapezoid,
-    alpha_cut,
 )
 from .similarity import (
     Centroid,
@@ -27,7 +26,6 @@ from .codebook import (
     SampledCodebook,
     load_codebook,
     sample_person_fou,
-    save_codebook,
 )
 from .reasoning import (
     Objective,

@@ -24,6 +24,7 @@ from .codebook import (
     EndpointSpecError,
     format_data_intervals,
     load_codebook,
+    load_source,
     parse_endpoint_specs,
     sample_person_fou,
 )
@@ -215,13 +216,8 @@ def _cmd_sample(args) -> int:
         raise UsageError(f"--n must be between 1 and {MAX_SAMPLE_N}, got {args.n}")
     if args.seed < 0:
         raise UsageError(f"--seed must be non-negative, got {args.seed}")
-    if args.spec == "paper-endpoints":
-        specs = STUDENT_ENDPOINTS
-    else:
-        path = Path(args.spec)
-        if not path.exists():
-            raise EndpointSpecError(f"no such end-point spec file: {args.spec!r}")
-        specs = parse_endpoint_specs(path.read_text())
+    specs = load_source(args.spec, {"paper-endpoints": lambda: STUDENT_ENDPOINTS}, parse_endpoint_specs,
+                        "end-point spec", EndpointSpecError)
     sets = [
         sample_person_fou(spec, n=args.n, seed=args.seed + i) for i, spec in enumerate(specs)
     ]

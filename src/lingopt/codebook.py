@@ -9,8 +9,11 @@ this package, which only draws data intervals from end-point specs.
 Codebook and end-point files share one framing, read by ``_read_records``
 (whitespace separated, ``#`` starts a comment): a magic line, ``key = value``
 header lines, then a ``word NAME`` line per word followed by that word's
-``key = value`` lines.  A key the file kind does not know, or one given twice
-in the header or in one word, is refused.  A codebook file::
+``key = value`` lines.  A word named twice is refused.  Every field line, in
+these files and in problem files, goes through ``add_field``, which refuses
+a line without ``=``, a key the section does not know and a key given twice.
+``load_source`` is the one fixture-or-file lookup, behind ``load_codebook``,
+``problems.load_problem`` and the CLI's ``sample --spec``.  A codebook file::
 
     codebook v1
     scale = 0 10
@@ -24,9 +27,8 @@ in the header or in one word, is refused.  A codebook file::
     centroid = 1.29 1.52 1.41   # optional; recomputed and checked on load
 
 An end-point file has the magic line ``endpoints v1``, an optional ``scale``
-and per-word ``left = lo hi`` / ``right = lo hi`` lines; as in a codebook,
-each word is named once.  Both kinds refuse a scale end beyond 1e300 in
-magnitude.
+and per-word ``left = lo hi`` / ``right = lo hi`` lines.  Both kinds refuse a
+scale end beyond 1e300 in magnitude.
 
 A loaded codebook arrives sampled on its default grid: each word is sampled
 once, which refuses a word off the scale, and its centroid is computed from
@@ -42,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Collection, Iterable, Optional, Sequence, Union
+from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -55,6 +57,8 @@ CENTROID_CACHE_TOL = 0.05  # fixture centroids are printed to 2 decimals
 MAX_SCALE_END = 1e300  # 1e6 grid points x 1e300 stays finite, and so does hi - lo
 MAX_GRID = 1_000_001  # largest --grid accepted; the accuracy reference grid has 100001 points
 MAX_CELLS = 25 * MAX_GRID  # most V x N (or V x V) cells in a sampled codebook's arrays: 200 MB each
+
+_T = TypeVar("_T")
 
 
 class CodebookError(LingoptError, ValueError):
@@ -284,7 +288,11 @@ STUDENT_ENDPOINTS = [
     EndpointSpec("VG", Interval(7.0, 8.0), Interval(10.0, 10.0)),
 ]
 
-FIXTURE_IDS = ("paper-hma", "paper-ia")
+_FIXTURES = {
+    "paper-hma": lambda: _rows_to_codebook(_HMA_ROWS, "HMA"),
+    "paper-ia": lambda: _rows_to_codebook(_IA_ROWS, "IA"),
+}
+FIXTURE_IDS = tuple(_FIXTURES)
 
 
 def _rows_to_codebook(rows, encoder_tag: str) -> Codebook:
@@ -344,14 +352,19 @@ def _finish_load(cb: Codebook) -> Codebook:
 
 def load_codebook(source: Union[str, Path]) -> Codebook:
     """Load a codebook from a fixture id ('paper-hma' / 'paper-ia') or a file."""
-    if source == "paper-hma":
-        return _rows_to_codebook(_HMA_ROWS, "HMA")
-    if source == "paper-ia":
-        return _rows_to_codebook(_IA_ROWS, "IA")
+    return load_source(source, _FIXTURES, parse_codebook, "codebook", CodebookError)
+
+
+def load_source(source: Union[str, Path], fixtures: Mapping[str, Callable[[], _T]],
+                parse: Callable[[str], _T], kind: str, error: type[LingoptError]) -> _T:
+    """The fixture ``source`` names, built by its entry in ``fixtures``, or
+    ``parse`` of the text of the file it names; otherwise ``error``."""
+    if source in fixtures:
+        return fixtures[source]()
     path = Path(source)
     if not path.exists():
-        raise CodebookError(f"no such codebook fixture or file: {source!r}")
-    return parse_codebook(path.read_text())
+        raise error(f"no such {kind} fixture or file: {source!r}")
+    return parse(path.read_text())
 
 
 # ---------------------------------------------------------------------------
@@ -368,38 +381,48 @@ def clean_lines(text: str) -> list[str]:
     return out
 
 
-def _read_records(
-    text: str,
-    magic: str,
-    header_keys: Collection[str],
-    word_keys: Collection[str],
-    error: type[LingoptError],
-) -> tuple[dict[str, str], list[tuple[str, dict[str, str]]]]:
-    """The header and the (name, fields) word records of a codebook or
-    end-point file, in file order.  A wrong magic line, a malformed line, or
-    a key that is not known or is given twice in one section raises ``error``."""
+def file_lines(text: str, magic: str, error: type[LingoptError]) -> list[str]:
+    """The clean lines of a file after its first line, which must be ``magic``."""
     lines = clean_lines(text)
     if not lines or lines[0] != magic:
         raise error(f"{magic.split()[0]} file must start with {magic!r}")
+    return lines[1:]
+
+
+def add_field(fields: dict[str, str], line: str, known: Collection[str], where: str,
+              error: type[LingoptError]) -> None:
+    """Add the ``key = value`` line ``line`` to ``fields``, the fields of the
+    section ``where``.  A line without ``=``, a key not in ``known`` and a key
+    already in ``fields`` raise ``error``."""
+    key, eq, value = (part.strip() for part in line.partition("="))
+    if not eq:
+        raise error(f"{where}: expected 'key = value', got {line!r}")
+    if key not in known:
+        raise error(f"{where}: unknown key {key!r}")
+    if key in fields:
+        raise error(f"{where}: key {key!r} given twice")
+    fields[key] = value
+
+
+def _read_records(text: str, magic: str, header_keys: Collection[str], word_keys: Collection[str],
+                  error: type[LingoptError]) -> tuple[dict[str, str], dict[str, dict[str, str]]]:
+    """The header fields of a codebook or end-point file, and each word's
+    fields by name in file order.  A wrong magic line, a word named twice or
+    a bad field line (see ``add_field``) raises ``error``."""
     header: dict[str, str] = {}
-    records: list[tuple[str, dict[str, str]]] = []
+    records: dict[str, dict[str, str]] = {}
     fields, known, where = header, header_keys, "header"
-    for line in lines[1:]:
-        if line.startswith("word "):
-            name = line[5:].strip()
-            if not name or any(ch.isspace() for ch in name):
-                raise error(f"word names must be single tokens, got {name!r}")
-            fields, known, where = {}, word_keys, f"word {name!r}"
-            records.append((name, fields))
+    for line in file_lines(text, magic, error):
+        if not line.startswith("word "):
+            add_field(fields, line, known, where, error)
             continue
-        if "=" not in line:
-            raise error(f"expected 'key = value', got {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in known:
-            raise error(f"{where}: unknown key {key!r}")
-        if key in fields:
-            raise error(f"{where}: key {key!r} given twice")
-        fields[key] = value
+        name = line[5:].strip()
+        if not name or any(ch.isspace() for ch in name):
+            raise error(f"word names must be single tokens, got {name!r}")
+        if name in records:
+            raise error(f"word {name!r} is named twice")
+        fields, known, where = {}, word_keys, f"word {name!r}"
+        records[name] = fields
     return header, records
 
 
@@ -464,7 +487,7 @@ def parse_codebook(text: str) -> Codebook:
             seed = int(seed)
         except ValueError:
             raise CodebookError(f"seed must be an integer, got {seed!r}") from None
-    words = tuple(_parse_word(name, fields) for name, fields in records)
+    words = tuple(_parse_word(name, fields) for name, fields in records.items())
     if not words:
         raise CodebookError("codebook file has no words")
     return _finish_load(Codebook(scale, words, header.get("encoder", "external"), header.get("generator"), seed))
@@ -488,19 +511,11 @@ def format_codebook(cb: Codebook) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_codebook(cb: Codebook, path: Union[str, Path]) -> None:
-    Path(path).write_text(format_codebook(cb))
-
-
 def parse_endpoint_specs(text: str) -> list[EndpointSpec]:
     header, records = _read_records(text, "endpoints v1", ("scale",), ("left", "right"), EndpointSpecError)
     scale = _scale(header, EndpointSpecError)
     specs: list[EndpointSpec] = []
-    seen: set[str] = set()
-    for name, fields in records:
-        if name in seen:
-            raise EndpointSpecError(f"word {name!r} is given twice")
-        seen.add(name)
+    for name, fields in records.items():
         if "left" not in fields or "right" not in fields:
             raise EndpointSpecError(f"word {name!r}: missing left or right interval")
         left = _interval(fields["left"], f"word {name!r} left", EndpointSpecError)

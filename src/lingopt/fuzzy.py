@@ -1,4 +1,4 @@
-"""Interval type-2 fuzzy set primitives: intervals, trapezoids, alpha-cuts.
+"""Interval type-2 fuzzy set primitives: intervals, trapezoids, IT2 words.
 
 Every engine in the package is built on the same three value types: a plain
 ``Interval``, a ``Trapezoid`` membership function with an explicit height,
@@ -42,10 +42,6 @@ class Interval:
     def __post_init__(self):
         if not self.lo <= self.hi:
             raise DomainError(f"interval requires lo <= hi, got [{self.lo}, {self.hi}]")
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
 
 
 @dataclass(frozen=True)
@@ -96,20 +92,6 @@ class Trapezoid:
             fall = (xs > self.c) & (xs <= self.d)
             out[fall] = self.h * (self.d - xs[fall]) / (self.d - self.c)
         return out
-
-
-def alpha_cut(t: Trapezoid, alpha: float) -> Interval:
-    """Horizontal cut of ``t`` at level ``alpha``.
-
-    Returns [a + (alpha/h)(b - a), d - (alpha/h)(d - c)].  At alpha = 0 this
-    is the support, at alpha = h the core [b, c].  Each end is clamped to
-    the core so that rounding never makes the ends cross (b == c, alpha = h).
-    """
-    if alpha < 0.0 or alpha > t.h + TOL:
-        raise DomainError(f"alpha={alpha} outside [0, {t.h}] for cut of height-{t.h} trapezoid")
-    alpha = min(alpha, t.h)
-    frac = alpha / t.h
-    return Interval(min(t.a + frac * (t.b - t.a), t.b), max(t.d - frac * (t.d - t.c), t.c))
 
 
 @dataclass(frozen=True)

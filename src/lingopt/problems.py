@@ -16,9 +16,11 @@ synthesised from its antecedents) or ``auto-word`` (the synthesised FOU is
 decoded to the nearest codebook word first).  ``slots`` name the 1-based
 antecedent positions an objective's auto-synthesis draws from, as a comma
 list of slots and low-high ranges; a repeated slot weights that slot.  Rule
-and alternative labels are single tokens.  Only the ``objective`` key may
-repeat; a header key, an alternative field, an alternative label or a rule
-within one alternative given twice is refused.
+and alternative labels are single tokens.  Header lines and each
+alternative's ``rules``/``input`` fields are read by ``codebook.add_field``,
+which refuses an unknown key and one given twice; ``objective`` is the one
+header key that may repeat.  A rule label, an alternative label or a rule
+within one alternative given twice is refused as well.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
-from .codebook import Codebook, clean_lines
+from .codebook import Codebook, add_field, file_lines, load_source
 from .fuzzy import DomainError, LingoptError
 from .reasoning import (
     AUTO,
@@ -279,12 +281,7 @@ _FIXTURES = {"case-solop": case_solop, "case-molop": case_molop, "sm-toy": sm_to
 
 def load_problem(source: Union[str, Path]) -> ProblemBundle:
     """Load a bundle from a fixture id or a problem file."""
-    if source in _FIXTURES:
-        return _FIXTURES[source]()
-    path = Path(source)
-    if not path.exists():
-        raise ProblemError(f"no such problem fixture or file: {source!r}")
-    return parse_problem(path.read_text())
+    return load_source(source, _FIXTURES, parse_problem, "problem", ProblemError)
 
 
 # ---------------------------------------------------------------------------
@@ -322,22 +319,13 @@ def _format_slots(slots: tuple[int, ...]) -> str:
 
 
 def parse_problem(text: str) -> ProblemBundle:
-    lines = clean_lines(text)
-    if not lines or lines[0] != "problem v1":
-        raise ProblemError("problem file must start with 'problem v1'")
-    name = "unnamed"
-    codebook_id = "paper-hma"
-    terms: Optional[tuple[str, ...]] = None
-    objective_specs: list[tuple[str, str, Optional[str]]] = []  # name, direction, slot spec
-    ranking: Optional[tuple[str, ...]] = None
+    header: dict[str, str] = {}
+    objective_specs: list[list[str]] = []  # name, direction[, "slots", slot spec]
     rules: dict[str, Rule] = {}
     alternatives: list[Alternative] = []
-    header_keys: set[str] = set()  # single-valued keys seen so far
-
-    for line in lines[1:]:
+    for line in file_lines(text, "problem v1", ProblemError):
         if line.startswith("rule "):
-            body = line[5:]
-            parts = [p.strip() for p in body.split("|")]
+            parts = [p.strip() for p in line[5:].split("|")]
             if len(parts) != 3:
                 raise ProblemError(f"rule line needs 'label | antecedents | consequents': {line!r}")
             label = parts[0]
@@ -346,77 +334,42 @@ def parse_problem(text: str) -> ProblemBundle:
                 raise ProblemError(f"duplicate rule label {label!r}")
             rules[label] = Rule(label, tuple(parts[1].split()), tuple(parts[2].split()))
         elif line.startswith("alternative "):
-            body = line[12:]
-            parts = [p.strip() for p in body.split("|")]
-            label = parts[0]
-            _check_label("alternative", label)
-            rule_refs: list[Rule] = []
-            input_vec = None
-            fields: set[str] = set()
-            for part in parts[1:]:
-                if "=" not in part:
-                    raise ProblemError(f"unparseable alternative field: {part!r}")
-                key, value = part.split("=", 1)
-                key, value = key.strip(), value.strip()
-                if key in fields:
-                    raise ProblemError(f"alternative {label!r}: field {key!r} given twice")
-                fields.add(key)
-                if key == "rules":
-                    refs = value.split()
-                    for ref in refs:
-                        if ref not in rules:
-                            raise ProblemError(f"alternative {label!r} references unknown rule {ref!r}")
-                    if len(set(refs)) != len(refs):
-                        raise ProblemError(f"alternative {label!r} lists a rule twice: {value!r}")
-                    rule_refs = [rules[ref] for ref in refs]
-                elif key == "input":
-                    input_vec = tuple(value.split())
-                else:
-                    raise ProblemError(f"unknown alternative field {key!r}")
-            alternatives.append(Alternative(label, tuple(rule_refs), input_vec))
+            label, *parts = (p.strip() for p in line[12:].split("|"))
+            fields: dict[str, str] = {}
+            for part in parts:
+                add_field(fields, part, ("rules", "input"), f"alternative {label!r}", ProblemError)
+            refs = fields.get("rules", "").split()
+            for ref in refs:
+                if ref not in rules:
+                    raise ProblemError(f"alternative {label!r} references unknown rule {ref!r}")
+            if len(set(refs)) != len(refs):
+                raise ProblemError(f"alternative {label!r} lists a rule twice: {fields['rules']!r}")
+            input_vec = tuple(fields["input"].split()) if "input" in fields else None
+            alternatives.append(Alternative(label, tuple(rules[ref] for ref in refs), input_vec))
+        elif line.partition("=")[0].strip() == "objective":  # the one repeatable header key
+            value = line.partition("=")[2].strip()
+            spec = value.split()
+            if not (len(spec) == 2 or len(spec) == 4 and spec[2] == "slots"):
+                raise ProblemError(f"bad objective line: {value!r}")
+            objective_specs.append(spec)
         else:
-            if "=" not in line:
-                raise ProblemError(f"unparseable problem line: {line!r}")
-            key, value = (x.strip() for x in line.split("=", 1))
-            if key in header_keys:
-                raise ProblemError(f"problem key {key!r} given twice")
-            if key != "objective":
-                header_keys.add(key)
-            if key == "name":
-                name = value
-            elif key == "codebook":
-                codebook_id = value
-            elif key == "terms":
-                terms = tuple(value.split())
-            elif key == "objective":
-                parts = value.split()
-                if len(parts) == 2:
-                    objective_specs.append((parts[0], parts[1], None))
-                elif len(parts) == 4 and parts[2] == "slots":
-                    objective_specs.append((parts[0], parts[1], parts[3]))
-                else:
-                    raise ProblemError(f"bad objective line: {value!r}")
-            elif key == "ranking":
-                ranking = tuple(value.split())
-            else:
-                raise ProblemError(f"unknown problem key {key!r}")
-
-    if terms is None:
+            add_field(header, line, ("name", "codebook", "terms", "ranking"), "problem", ProblemError)
+    if "terms" not in header:
         raise ProblemError("problem file must declare terms")
     # slot specs wait for the rules, whose antecedent count bounds them
     most = max((len(r.antecedents) for r in rules.values()), default=0)
     objectives = []
-    for objective, direction, spec in objective_specs:
-        slots = None if spec is None else _parse_slots(spec, most)
+    for objective, direction, *rest in objective_specs:
+        slots = _parse_slots(rest[1], most) if rest else None
         try:
             objectives.append(Objective(objective, direction, slots))
         except DomainError as e:
             raise ProblemError(f"objective {objective!r}: {e}") from None
     if not objectives:
         raise ProblemError("problem file must declare at least one objective")
-    if ranking is None:
-        ranking = (objectives[0].name,)
-    return ProblemBundle(name, tuple(objectives), tuple(alternatives), ranking, terms, codebook_id)
+    ranking = tuple(header["ranking"].split()) if "ranking" in header else (objectives[0].name,)
+    return ProblemBundle(header.get("name", "unnamed"), tuple(objectives), tuple(alternatives), ranking,
+                         tuple(header["terms"].split()), header.get("codebook", "paper-hma"))
 
 
 def format_problem(bundle: ProblemBundle) -> str:

@@ -140,7 +140,8 @@ def _prepare_samples(xs: np.ndarray, lower: np.ndarray, upper: np.ndarray):
 
 
 def _ekm_endpoint(xs: np.ndarray, lower: np.ndarray, upper: np.ndarray, right: bool) -> float:
-    """One enhanced Karnik-Mendel iteration (left or right endpoint)."""
+    """One enhanced Karnik-Mendel iteration (left or right endpoint), kept
+    within [xs[0], xs[-1]]."""
     n = xs.size
     k = int(round(n / (1.7 if right else 2.4)))
     k = min(max(k, 1), n - 1)
@@ -155,7 +156,7 @@ def _ekm_endpoint(xs: np.ndarray, lower: np.ndarray, upper: np.ndarray, right: b
         k_new = int(np.searchsorted(xs, y, side="right"))
         k_new = min(max(k_new, 1), n - 1)
         if k_new == k:
-            return y
+            break
         sgn = 1.0 if k_new > k else -1.0
         s = slice(min(k, k_new), max(k, k_new))
         delta_x = float(np.dot(xs[s], upper[s] - lower[s]))
@@ -168,7 +169,8 @@ def _ekm_endpoint(xs: np.ndarray, lower: np.ndarray, upper: np.ndarray, right: b
             b += sgn * delta_w
         y = a / b
         k = k_new
-    return y
+    # the running sums can drift past the samples by rounding
+    return min(max(y, float(xs[0])), float(xs[-1]))
 
 
 def centroid_ekm_from_samples(xs: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> Centroid:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lingopt.codebook import load_codebook
-from lingopt.fuzzy import DomainError, Interval, IT2Word, NoRuleFiredError, Trapezoid, alpha_cut
+from lingopt.fuzzy import TOL, DomainError, Interval, IT2Word, NoRuleFiredError, Trapezoid
 from lingopt.reasoning import AUTO, AUTO_WORD
 from lingopt.similarity import Centroid, SampledWord, centroid_ekm_from_samples, jaccard, sample_word
 
@@ -91,6 +91,20 @@ def centroid_brute(w: IT2Word, d) -> Centroid:
         ratios_l = np.where(den_l > 0, num_l / den_l, np.inf)
         ratios_r = np.where(den_r > 0, num_r / den_r, -np.inf)
     return Centroid(float(ratios_l.min()), float(ratios_r.max()))
+
+
+def alpha_cut(t: Trapezoid, alpha: float) -> Interval:
+    """Horizontal cut of ``t`` at level ``alpha``.
+
+    Returns [a + (alpha/h)(b - a), d - (alpha/h)(d - c)].  At alpha = 0 this
+    is the support, at alpha = h the core [b, c].  Each end is clamped to
+    the core so that rounding never makes the ends cross (b == c, alpha = h).
+    """
+    if alpha < 0.0 or alpha > t.h + TOL:
+        raise DomainError(f"alpha={alpha} outside [0, {t.h}] for cut of height-{t.h} trapezoid")
+    alpha = min(alpha, t.h)
+    frac = alpha / t.h
+    return Interval(min(t.a + frac * (t.b - t.a), t.b), max(t.d - frac * (t.d - t.c), t.c))
 
 
 def assert_alpha_cuts_are_weighted_averages(out: IT2Word, words, firings, levels=101, tol=1e-12):

@@ -9,9 +9,9 @@ import time
 import numpy as np
 import pytest
 
-from conftest import centroid_brute, random_trapezoid, random_word
+from conftest import alpha_cut, centroid_brute, random_trapezoid, random_word
 from lingopt.codebook import load_codebook
-from lingopt.fuzzy import DomainError, Interval, alpha_cut
+from lingopt.fuzzy import DomainError, Interval
 from lingopt.problems import case_molop, case_solop, sm_toy, solve_pr_bundle, solve_two_tuple_bundle
 from lingopt.reasoning import Rule, fire, lwa, synthesize_consequent
 from lingopt.similarity import Discretization, centroid_ekm, jaccard, rank_by_centroid

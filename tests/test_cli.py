@@ -10,6 +10,7 @@ import pytest
 from conftest import assert_report_matches
 from lingopt.cli import MAX_GRID, MAX_SAMPLE_N, main
 from lingopt.codebook import format_codebook, load_codebook
+from lingopt.problems import case_solop, format_problem
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -205,6 +206,31 @@ alternative strong | rules = b | input = HI HI
         assert code == 0
         assert "ranking = strong > weak" in out
 
+    def test_centroid_ends_stay_on_the_scale(self, capsys, tmp_path):
+        # each word's lower membership is one spike at a scale end, so the
+        # centroid ends sit on the ends of the samples, where EKM's running
+        # sums used to overshoot: cl printed as -0.00 and B loaded with cr > 10
+        codebook = tmp_path / "vocab.txt"
+        codebook.write_text(
+            "codebook v1\nscale = 0 10\n"
+            "word A\numf = 0 0 0 10\nlmf = 0 0 0 0 1\n"
+            "word B\numf = 0 10 10 10\nlmf = 10 10 10 10 1\n"
+        )
+        problem = tmp_path / "problem.txt"
+        problem.write_text(
+            "problem v1\nterms = A B\nobjective = o max\n"
+            "rule r1 | A | auto\nalternative x | rules = r1 | input = A\n"
+        )
+        for grid in ("201", "1001"):
+            code, out, _ = run_cli(capsys, "solve", "pr", "--problem", str(problem), "--codebook",
+                                   str(codebook), "--grid", grid)
+            assert code == 0
+            row = next(line.split() for line in out.splitlines() if line.startswith("x "))
+            assert row[-4] == "0.00"  # cl
+        words = load_codebook(str(codebook)).words
+        assert [w.centroid.cl for w in words] >= [0.0, 0.0]
+        assert max(w.centroid.cr for w in words) == 10.0
+
 
 class TestExitCodes:
     def test_usage_error_engine_mismatch(self, capsys):
@@ -334,14 +360,20 @@ class TestExitCodes:
 
     @classmethod
     def edited_input(cls, tmp_path, kind: str, old: str, new: str) -> list[str]:
-        """argv that reads an end-point file or the paper-hma codebook file
-        with the first ``old`` replaced by ``new``."""
-        text = cls.ENDPOINTS if kind == "endpoints" else format_codebook(load_codebook("paper-hma"))
+        """argv that reads an end-point file, the paper-hma codebook file or
+        the case-solop problem file with the first ``old`` replaced by ``new``."""
+        text = {
+            "endpoints": cls.ENDPOINTS,
+            "codebook": format_codebook(load_codebook("paper-hma")),
+            "problem": format_problem(case_solop()),
+        }[kind]
         assert old in text
         path = tmp_path / f"{kind}.txt"
         path.write_text(text.replace(old, new, 1))
         if kind == "endpoints":
             return ["sample", "--spec", str(path), "--out", "-"]
+        if kind == "problem":
+            return ["solve", "pr", "--problem", str(path), "--codebook", "paper-hma"]
         return ["solve", "pr", "--problem", "case-solop", "--codebook", str(path)]
 
     @pytest.mark.parametrize(
@@ -369,9 +401,14 @@ class TestExitCodes:
             ("codebook", "encoder = HMA", "encoder = HMA\nencoder = IA"),  # repeated in the header
             ("endpoints", "right = 2 3", "right = 2 3\nmiddle = 1 2"),  # unknown in a word
             ("endpoints", "left = 0 0", "left = 0 0\nleft = 0 1"),  # repeated in a word
+            ("problem", "ranking = overall", "ranking = overall\nrankings = overall"),  # unknown in the header
+            ("problem", "terms = VP P A G VG", "terms = VP P A G VG\nterms = VP P A"),  # repeated in the header
+            ("problem", "rules = SS1 |", "rules = SS1 | weight = 1 |"),  # unknown in an alternative
+            ("problem", "rules = SS1 |", "rules = SS1 | rules = SS1 |"),  # repeated in an alternative
         ],
         ids=["codebook-unknown", "codebook-repeated", "codebook-header-repeated",
-             "endpoints-unknown", "endpoints-repeated"],
+             "endpoints-unknown", "endpoints-repeated", "problem-unknown", "problem-repeated",
+             "problem-alternative-unknown", "problem-alternative-repeated"],
     )
     def test_data_error_unknown_or_repeated_key(self, capsys, tmp_path, kind, old, new):
         code, out, err = run_cli(capsys, *self.edited_input(tmp_path, kind, old, new))
@@ -380,14 +417,17 @@ class TestExitCodes:
         self.assert_one_line(err, "data")
 
     def test_data_error_repeated_endpoint_word(self, capsys, tmp_path):
-        # a second `word VP` would otherwise be sampled again under another seed
-        repeated = "right = 2 3\nword VP\nleft = 0 0\nright = 2 3\n"
-        argv = self.edited_input(tmp_path, "endpoints", "right = 2 3\n", repeated)
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 3
-        assert out == ""
-        self.assert_one_line(err, "data")
-        assert "'VP'" in err
+        # a second `word VP` would otherwise be sampled again under another
+        # seed; a codebook file follows the same record-name rule
+        for kind, old, new in [
+            ("endpoints", "right = 2 3\n", "right = 2 3\nword VP\nleft = 0 0\nright = 2 3\n"),
+            ("codebook", "word P\n", "word VP\n"),
+        ]:
+            code, out, err = run_cli(capsys, *self.edited_input(tmp_path, kind, old, new))
+            assert code == 3
+            assert out == ""
+            self.assert_one_line(err, "data")
+            assert "'VP'" in err
 
     def test_data_error_rule_without_antecedents(self, capsys, tmp_path):
         path = tmp_path / "problem.txt"

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import FouShape, classify_fou
+from conftest import FouShape, alpha_cut, classify_fou
 from lingopt.fuzzy import (
     DomainError,
     Interval,
     IT2Word,
     Trapezoid,
-    alpha_cut,
 )
 
 SCALE = Interval(0.0, 10.0)
@@ -19,7 +18,8 @@ class TestInterval:
             Interval(2.0, 1.0)
 
     def test_degenerate_allowed(self):
-        assert Interval(5.0, 5.0).width == 0.0
+        iv = Interval(5.0, 5.0)
+        assert (iv.lo, iv.hi) == (5.0, 5.0)
 
 
 class TestTrapezoid:

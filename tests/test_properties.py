@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     FouShape,
+    alpha_cut,
     assert_alpha_cuts_are_weighted_averages,
     centroid_brute,
     classify_fou,
@@ -25,7 +26,7 @@ from conftest import (
     tsukamoto_oracle,
 )
 from lingopt.codebook import Codebook, CodebookError, format_codebook, load_codebook, parse_codebook
-from lingopt.fuzzy import DomainError, Interval, IT2Word, LingoptError, Trapezoid, alpha_cut
+from lingopt.fuzzy import DomainError, Interval, IT2Word, LingoptError, Trapezoid
 from lingopt.problems import Alternative, ProblemBundle, format_problem, parse_problem
 from lingopt.reasoning import (
     AUTO,
@@ -561,6 +562,23 @@ class TestCentroidOracle:
                 assert abs(e.cr - b.cr) <= 1e-9
                 assert b.cl <= b.mean <= b.cr
                 assert w.umf.a - 1e-9 <= b.cl and b.cr <= w.umf.d + 1e-9
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_ends_lie_within_the_samples(self, data):
+        # a lower membership that is zero but at one sample puts the ends of
+        # the centroid on the ends of the support, where rounding could push
+        # EKM's running sums past them
+        xs = np.linspace(0.0, 10.0, data.draw(st.sampled_from([11, 201, 1001])))
+        vertex = st.one_of(st.just(0.0), st.just(10.0), st.floats(0.0, 10.0))
+        upper = Trapezoid(*sorted(data.draw(st.lists(vertex, min_size=4, max_size=4)))).membership_grid(xs)
+        lower = np.zeros_like(xs)
+        j = data.draw(st.integers(0, xs.size - 1))
+        lower[j] = upper[j] * data.draw(st.floats(0.0, 1.0))
+        assume(upper.any())
+        c = centroid_ekm_from_samples(xs, lower, upper)
+        kept = xs[upper > 0.0]
+        assert kept[0] <= c.cl and c.cr <= kept[-1]
 
 
 class TestRankingPermutation:
