@@ -37,7 +37,6 @@ from .reasoning import (
     fire_rules,
     lwa,
     solve_molop,
-    solve_solop,
     synthesize_consequent,
 )
 from .twotuple import (

@@ -37,7 +37,7 @@ from .problems import (
     solve_pr_bundle,
     solve_two_tuple_bundle,
 )
-from .similarity import DegenerateWordError
+from .similarity import DEFAULT_POINTS, DegenerateWordError
 from .twotuple import OutOfScaleError, overflow_check
 
 USAGE_ERROR, DATA_ERROR, ENGINE_ERROR = 2, 3, 4
@@ -171,9 +171,9 @@ def _cmd_solve(args) -> int:
     if not 3 <= args.grid <= MAX_GRID:
         raise UsageError(f"--grid must be between 3 and {MAX_GRID} points, got {args.grid}")
     if args.engine == "tsukamoto":
-        if args.problem not in ("sm-solop", "sm-molop"):
+        if args.problem not in tsk.FIXTURES:
             raise EngineMismatchError(
-                f"the tsukamoto engine solves the crisp fixtures 'sm-solop'/'sm-molop', "
+                f"the tsukamoto engine solves the crisp fixtures {'/'.join(map(repr, tsk.FIXTURES))}, "
                 f"not {args.problem!r}"
             )
         sys.stdout.write(_solve_tsukamoto(args))
@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("engine", choices=["pr", "two-tuple", "tsukamoto"])
     solve.add_argument("--problem", required=True, help="problem fixture id or file")
     solve.add_argument("--codebook", default=None, help="codebook fixture id or file")
-    solve.add_argument("--grid", type=int, default=1001, help="discretization points")
+    solve.add_argument("--grid", type=int, default=DEFAULT_POINTS, help="discretization points")
     solve.add_argument("--step", type=float, default=1e-3, help="tsukamoto grid step")
     solve.add_argument("--format", choices=["table", "csv"], default="table")
     solve.add_argument(

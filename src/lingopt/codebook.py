@@ -49,8 +49,8 @@ from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence, 
 import numpy as np
 
 from .fuzzy import DomainError, Interval, IT2Word, LingoptError, Trapezoid, vertex_rows
-from .similarity import (Centroid, DegenerateWordError, Discretization, SampledWord, centroid_sampled,
-                         jaccard_rows, sample_word)
+from .similarity import (DEFAULT_POINTS, Centroid, DegenerateWordError, Discretization, SampledWord,
+                         centroid_sampled, jaccard_rows, sample_word)
 
 GENERATOR_NAME = "pcg64"  # numpy default_rng
 CENTROID_CACHE_TOL = 0.05  # fixture centroids are printed to 2 decimals
@@ -134,7 +134,7 @@ class Codebook:
         except KeyError:
             raise _unknown_word(name, self.names) from None
 
-    def discretization(self, points: int = 1001) -> Discretization:
+    def discretization(self, points: int = DEFAULT_POINTS) -> Discretization:
         return Discretization(points=points, scale=self.scale)
 
     def sampled(self, d: Optional[Discretization] = None) -> SampledCodebook:

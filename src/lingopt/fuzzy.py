@@ -32,6 +32,12 @@ class NoRuleFiredError(LingoptError):
     """Every rule fired at zero; the inferred output would be undefined."""
 
 
+def check_direction(direction: str) -> None:
+    """Refuse an optimisation direction other than "max" or "min"."""
+    if direction not in ("max", "min"):
+        raise DomainError(f"direction must be 'max' or 'min', got {direction!r}")
+
+
 @dataclass(frozen=True)
 class Interval:
     """A closed real interval [lo, hi]."""
@@ -99,8 +105,7 @@ class IT2Word:
     """An interval type-2 fuzzy set given by an upper and a lower trapezoid.
 
     The UMF must be normal (height 1) and must contain the LMF pointwise.
-    ``centroid`` is a cache filled in by the codebook loader; anonymous
-    inference outputs may carry one as well.
+    ``centroid`` is a cache filled in by the codebook loader.
     """
 
     name: str

@@ -38,7 +38,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .codebook import Codebook, SampledCodebook
-from .fuzzy import DomainError, IT2Word, NoRuleFiredError, Trapezoid, vertex_rows
+from .fuzzy import DomainError, IT2Word, NoRuleFiredError, Trapezoid, check_direction, vertex_rows
 from .similarity import Centroid, Discretization, SampledWord, centroid_sampled, sample_word
 
 AUTO = "auto"  # consequent synthesised from antecedents, kept as a raw FOU
@@ -68,8 +68,7 @@ class Objective:
     slots: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
-        if self.direction not in ("max", "min"):
-            raise DomainError(f"objective direction must be max or min, got {self.direction!r}")
+        check_direction(self.direction)
 
 
 @dataclass(frozen=True)
@@ -214,11 +213,11 @@ def decode(fou: IT2Word, cb: Codebook, d: Optional[Discretization] = None) -> st
 def _best(names: Sequence[str], scores: Sequence[float]) -> str:
     """Name with the highest score.  Scores within 1e-12 of the best so far
     tie, and a tie goes to the later (larger-centroid) word."""
-    best, best_score = None, -np.inf
+    best, top = None, -np.inf
     for name, score in zip(names, scores):
-        if best is None or score > best_score + 1e-12:
-            best, best_score = name, score
-        elif score >= best_score - 1e-12:
+        if best is None or score > top + 1e-12:
+            best, top = name, score
+        elif score >= top - 1e-12:
             best = name
     return best
 
@@ -255,7 +254,7 @@ def synthesize_consequent(
     scb = cb.sampled(d)
     fou = lwa(ConsequentRows(*scb.rows, scb.positions(antecedents)), np.ones(len(antecedents)))
     centroid = centroid_sampled(sample_word(fou, scb.d))
-    return SynthesizedConsequent(fou.with_centroid(centroid), centroid, _decode_mean(centroid.mean, cb))
+    return SynthesizedConsequent(fou, centroid, _decode_mean(centroid.mean, cb))
 
 
 def _consequent_rows(rules: Sequence[Rule], k: int, objective: Objective, cb: Codebook,
@@ -309,12 +308,7 @@ class PrOutput:
 def _finish(fou: IT2Word, firings: tuple[float, ...], scb: SampledCodebook) -> PrOutput:
     s = sample_word(fou, scb.d)
     centroid = centroid_sampled(s)
-    return PrOutput(
-        fou=fou.with_centroid(centroid),
-        centroid=centroid,
-        decoded=_decode_jaccard(s, scb),
-        firings=firings,
-    )
+    return PrOutput(fou=fou, centroid=centroid, decoded=_decode_jaccard(s, scb), firings=firings)
 
 
 def solve_molop(
@@ -333,10 +327,3 @@ def solve_molop(
         for k, objective in enumerate(rb.objectives)
     ]
 
-
-def solve_solop(
-    rb: RuleBase, inputs: Sequence[str], cb: Codebook, d: Optional[Discretization] = None
-) -> PrOutput:
-    if len(rb.objectives) != 1:
-        raise DomainError(f"solve_solop needs exactly one objective, got {len(rb.objectives)}")
-    return solve_molop(rb, inputs, cb, d)[0]

@@ -23,7 +23,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .fuzzy import DomainError, Interval, IT2Word, LingoptError, TOL
+from .fuzzy import DomainError, Interval, IT2Word, LingoptError, TOL, check_direction
+
+DEFAULT_POINTS = 1001  # grid points of a ``Discretization`` unless a caller asks for others
+RANK_TOL = 1e-9  # scores closer than this tie on one objective in ``rank_by_centroid``
 
 
 class DegenerateWordError(LingoptError):
@@ -48,9 +51,9 @@ class Centroid:
 
 @dataclass(frozen=True)
 class Discretization:
-    """Uniform sampling grid over a scale. 1001 points on [0, 10] by default."""
+    """Uniform sampling grid over a scale, DEFAULT_POINTS points on [0, 10] by default."""
 
-    points: int = 1001
+    points: int = DEFAULT_POINTS
     scale: Interval = field(default_factory=lambda: Interval(0.0, 10.0))
 
     def __post_init__(self):
@@ -203,17 +206,13 @@ def centroid_ekm(w: IT2Word, d: Discretization) -> Centroid:
 # Ranking
 
 
-def rank_by_centroid(
-    items: Sequence[tuple[str, Sequence[float]]],
-    directions: Sequence[str],
-    tol: float = 1e-9,
-) -> list[str]:
+def rank_by_centroid(items: Sequence[tuple[str, Sequence[float]]], directions: Sequence[str]) -> list[str]:
     """Order labels by their scores, one score per ranking objective.
 
     A score is a centroid mean for perceptual reasoning and a beta for the
     2-tuple baseline; ``directions`` holds "max" (best = largest score) or
     "min" for each objective.  Labels are sorted on the first objective;
-    scores within ``tol`` of a group's first member form one group, and each
+    scores within RANK_TOL of a group's first member form one group, and each
     group is sorted the same way on the next objective.  The tolerance only
     decides which labels the next objective may reorder, so two labels keep
     their input order only when all their scores are equal, and the grouping
@@ -222,8 +221,7 @@ def rank_by_centroid(
     if not items:
         raise DomainError("rank_by_centroid needs at least one item")
     for direction in directions:
-        if direction not in ("max", "min"):
-            raise DomainError(f"direction must be 'max' or 'min', got {direction!r}")
+        check_direction(direction)
     if not directions or any(len(scores) != len(directions) for _, scores in items):
         raise DomainError("rank_by_centroid needs one score per direction for every item")
     groups = [list(range(len(items)))]  # item positions, best group first
@@ -234,7 +232,7 @@ def rank_by_centroid(
             group = sorted(group, key=lambda i: -sign * items[i][1][k])
             first = 0
             for j in range(1, len(group) + 1):
-                if j == len(group) or abs(items[group[j]][1][k] - items[group[first]][1][k]) > tol:
+                if j == len(group) or abs(items[group[j]][1][k] - items[group[first]][1][k]) > RANK_TOL:
                     split.append(group[first:j])
                     first = j
         groups = split

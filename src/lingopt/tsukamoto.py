@@ -9,7 +9,9 @@ verification baseline, not a solver.  The search is evaluated as arrays: the
 feasible grid is one (points, n) array and every objective is computed at
 every point in one pass over the rules.  ``crisp_output`` runs that same
 kernel on a single point.  Every membership function, built-in or custom, is
-one interpolated sample table.
+one interpolated sample table.  ``optimize`` scores a point by the smallest of
+its direction-adjusted objective values (for one objective, that value) and
+keeps every point within TIE_TOL of the best score.
 """
 
 from __future__ import annotations
@@ -20,10 +22,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fuzzy import DomainError, NoRuleFiredError
+from .fuzzy import DomainError, NoRuleFiredError, check_direction
 
 #: most points ``optimize`` may enumerate on the constraint; a finer step is refused
 MAX_GRID_POINTS = 100_000
+#: grid points scoring within this of the best are all reported as optima
+TIE_TOL = 1e-9
+#: the worked fixture systems ``fixture`` builds
+FIXTURES = ("sm-solop", "sm-molop")
 
 
 class GridStepError(DomainError):
@@ -130,9 +136,8 @@ class EqualityConstraint:
 
 @dataclass(frozen=True)
 class OptimizeResult:
-    points: tuple[tuple[float, ...], ...]  # all grid optima within tie_tol of best
+    points: tuple[tuple[float, ...], ...]  # all grid optima within TIE_TOL of best
     values: tuple[tuple[float, ...], ...]  # objective values at those points
-    best_score: float
 
 
 def _check_step(c: EqualityConstraint, dims: int, step: float) -> None:
@@ -183,26 +188,22 @@ def optimize(
     constraint: EqualityConstraint,
     directions: Sequence[str],
     step: float = 1e-3,
-    tie_tol: float = 1e-9,
-    normalize: bool = False,
 ) -> OptimizeResult:
     """Exhaustive grid optimization of the crisp objectives on the constraint.
 
     Single objective: optimize it in its stated direction.  Multiple
     objectives: maximize the minimum of the direction-adjusted values (the
-    max-min compromise); with ``normalize`` each objective is first rescaled
-    to [0, 1] over the feasible grid.  Returns every grid point within
-    ``tie_tol`` of the best score, in grid order.  A step that is not
-    positive and finite, or that would make the grid hold more than
-    MAX_GRID_POINTS points, raises GridStepError before any point is made.
+    max-min compromise).  Returns every grid point within TIE_TOL of the best
+    score, in grid order.  A step that is not positive and finite, or that
+    would make the grid hold more than MAX_GRID_POINTS points, raises
+    GridStepError before any point is made.
     The whole grid is evaluated at once by the ``crisp_output`` kernel.
     """
     n, q = _check_rules(rules)
     if len(directions) != q:
         raise DomainError(f"expected {q} directions, got {len(directions)}")
     for dr in directions:
-        if dr not in ("max", "min"):
-            raise DomainError(f"direction must be max or min, got {dr!r}")
+        check_direction(dr)
 
     _check_step(constraint, n, step)
     points = _feasible_grid(constraint, n, step)
@@ -210,20 +211,11 @@ def optimize(
         raise DomainError("constraint set contains no feasible grid points")
     values = _crisp_outputs(rules, points)
 
-    adjusted = np.where([dr == "min" for dr in directions], -values, values)
-    if normalize and q > 1:
-        lo = adjusted.min(axis=0)
-        span = adjusted.max(axis=0) - lo
-        span[span == 0.0] = 1.0
-        adjusted = (adjusted - lo) / span
-    scores = adjusted.min(axis=1) if q > 1 else adjusted[:, 0]
-
-    best = float(scores.max())
-    keep = np.flatnonzero(scores >= best - tie_tol)
+    scores = np.where([dr == "min" for dr in directions], -values, values).min(axis=1)
+    keep = np.flatnonzero(scores >= scores.max() - TIE_TOL)
     return OptimizeResult(
         points=tuple(map(tuple, points[keep].tolist())),
         values=tuple(map(tuple, values[keep].tolist())),
-        best_score=best,
     )
 
 
@@ -241,6 +233,8 @@ def fixture(name: str):
     "sm-molop": the two-objective complement system (f2 = 1 - f1) maximized
     max-min on y1 + y2 = 3/4; optima (1/2, 1/2) at (1/2, 1/4) and (1/4, 1/2).
     """
+    if name not in FIXTURES:
+        raise DomainError(f"unknown fixture {name!r}; have {', '.join(map(repr, FIXTURES))}")
     dec = MonotoneMf("decreasing")
     inc = MonotoneMf("increasing")
     if name == "sm-solop":
@@ -249,10 +243,8 @@ def fixture(name: str):
             TsukamotoRule((dec, inc), (inc,)),
         )
         return rules, EqualityConstraint(0.5), ("min",)
-    if name == "sm-molop":
-        rules = (
-            TsukamotoRule((dec, dec), (dec, inc)),
-            TsukamotoRule((dec, inc), (inc, dec)),
-        )
-        return rules, EqualityConstraint(0.75), ("max", "max")
-    raise DomainError(f"unknown fixture {name!r}; have 'sm-solop', 'sm-molop'")
+    rules = (
+        TsukamotoRule((dec, dec), (dec, inc)),
+        TsukamotoRule((dec, inc), (inc, dec)),
+    )
+    return rules, EqualityConstraint(0.75), ("max", "max")

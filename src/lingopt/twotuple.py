@@ -4,7 +4,7 @@ A 2-tuple (s_i, alpha) encodes a real aggregation beta = i + alpha with
 alpha in [-0.5, 0.5); terms are indexed 1..g and take part in arithmetic
 directly.  Rounding is half-up throughout (round(1.5) = 2).  The overflow
 check reproduces the scale-protrusion diagnosis for translated triangular
-term membership functions.
+term membership functions, each of half-width one term spacing.
 """
 
 from __future__ import annotations
@@ -121,9 +121,7 @@ def molop_solve(
 @dataclass(frozen=True)
 class OverflowReport:
     term: str
-    beta: float
-    support: tuple[float, float]  # translated MF support, index units
-    protrusion_left: float
+    protrusion_left: float  # index units, as is protrusion_right
     protrusion_right: float
 
     @property
@@ -135,24 +133,20 @@ class OverflowReport:
         return max(self.protrusion_left, self.protrusion_right)
 
 
-def overflow_check(t: TwoTuple, ts: OrdinalTermSet, half_width: float = 1.0) -> OverflowReport:
+def overflow_check(t: TwoTuple, ts: OrdinalTermSet) -> OverflowReport:
     """How far the translated triangle for (s_i, alpha) pokes past the scale.
 
     Terms sit at positions 1..g (unit spacing) with symmetric triangular MFs
-    of the given half-width, clipped to the scale [1, g]; end terms therefore
-    have vertical outer edges.  Translating by alpha shifts the clipped shape
-    whole, so any positive alpha on a term whose triangle already touches the
-    top protrudes by alpha * spacing.
+    of half-width one spacing, clipped to the scale [1, g]; end terms
+    therefore have vertical outer edges.  Translating by alpha shifts the
+    clipped shape whole, so any positive alpha on a term whose triangle
+    already touches the top protrudes by alpha * spacing.
     """
-    if half_width <= 0:
-        raise DomainError(f"half-width must be positive, got {half_width}")
     lo, hi = 1.0, float(ts.g)
-    left = max(t.index - half_width, lo) + t.alpha
-    right = min(t.index + half_width, hi) + t.alpha
+    left = max(t.index - 1.0, lo) + t.alpha
+    right = min(t.index + 1.0, hi) + t.alpha
     return OverflowReport(
         term=ts.label(t.index),
-        beta=t.beta,
-        support=(left, right),
         protrusion_left=max(0.0, lo - left),
         protrusion_right=max(0.0, right - hi),
     )

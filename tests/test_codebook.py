@@ -328,7 +328,7 @@ right = 4 7
 
     def test_custom_scale_pipeline(self):
         # scales other than 0-10 flow through load, centroid and inference
-        from lingopt.reasoning import Objective, Rule, RuleBase, solve_solop
+        from lingopt.reasoning import Objective, Rule, RuleBase, solve_molop
 
         text = """codebook v1
 scale = 0 5
@@ -346,6 +346,6 @@ lmf = 3.5 4.2 5 5 0.9
             (Rule("r1", ("small",), ("small",)), Rule("r2", ("large",), ("large",))),
             (Objective("f"),),
         )
-        out = solve_solop(rb, ("large",), cb)
+        (out,) = solve_molop(rb, ("large",), cb)
         assert out.decoded == "large"
         assert 0.0 <= out.fou.umf.a and out.fou.umf.d <= 5.0

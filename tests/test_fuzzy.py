@@ -8,6 +8,9 @@ from lingopt.fuzzy import (
     IT2Word,
     Trapezoid,
 )
+from lingopt.reasoning import Objective
+from lingopt.similarity import rank_by_centroid
+from lingopt.tsukamoto import fixture, optimize
 
 SCALE = Interval(0.0, 10.0)
 
@@ -121,3 +124,19 @@ class TestWordValidation:
         w = IT2Word("bad", Trapezoid(1, 3, 4, 5, h=0.9), Trapezoid(2, 3, 4, 4.5, h=0.9))
         with pytest.raises(DomainError, match="umf height"):
             w.validate()
+
+
+class TestDirection:
+    def test_every_direction_check_refuses_up_alike(self):
+        rules, constraint, _ = fixture("sm-solop")
+        refusals = [
+            lambda: Objective("f", direction="up"),
+            lambda: rank_by_centroid([("a", (1.0,))], ["up"]),
+            lambda: optimize(rules, constraint, ("up",)),
+        ]
+        messages = set()
+        for refuse in refusals:
+            with pytest.raises(DomainError) as info:
+                refuse()
+            messages.add(str(info.value))
+        assert messages == {"direction must be 'max' or 'min', got 'up'"}

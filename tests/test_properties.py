@@ -54,6 +54,7 @@ from lingopt.tsukamoto import (
     EqualityConstraint,
     MonotoneMf,
     NoRuleFiredError,
+    TIE_TOL,
     TsukamotoRule,
     _feasible_grid,
     optimize,
@@ -415,8 +416,8 @@ def monotone_mf(spec) -> MonotoneMf:
 
 class TestTsukamotoOracle:
     @settings(max_examples=100, deadline=None)
-    @given(st.data(), st.integers(2, 3), st.integers(1, 2), st.booleans())
-    def test_optimize_matches_oracle(self, data, n, q, normalize):
+    @given(st.data(), st.integers(2, 3), st.integers(1, 2))
+    def test_optimize_matches_oracle(self, data, n, q):
         specs = data.draw(
             st.lists(
                 st.tuples(
@@ -433,12 +434,11 @@ class TestTsukamotoOracle:
         c = EqualityConstraint(data.draw(st.floats(n * lo, n * hi)), lo, hi)
         directions = data.draw(st.lists(st.sampled_from(["max", "min"]), min_size=q, max_size=q))
         step = data.draw(st.sampled_from([0.02, 0.05, 0.1]))
-        tie_tol = data.draw(st.sampled_from([1e-9, 1e-3]))
 
         grid = [[float(v) for v in p] for p in _feasible_grid(c, n, step)]
         if not grid:
             with pytest.raises(DomainError, match="no feasible grid points"):
-                optimize(rules, c, directions, step, tie_tol, normalize)
+                optimize(rules, c, directions, step)
             return
         for p in grid:
             assert sum(p) == pytest.approx(c.total, abs=1e-9)
@@ -447,23 +447,17 @@ class TestTsukamotoOracle:
         if None in values:
             first = grid[values.index(None)]
             with pytest.raises(NoRuleFiredError, match=re.escape(f"y={first}")):
-                optimize(rules, c, directions, step, tie_tol, normalize)
+                optimize(rules, c, directions, step)
             return
 
         adjusted = [[-v if dr == "min" else v for v, dr in zip(row, directions)] for row in values]
-        if normalize and q > 1:
-            cols = list(zip(*adjusted))
-            los = [min(col) for col in cols]
-            spans = [max(col) - m for col, m in zip(cols, los)]
-            assume(min(spans) > 1e-6)  # a flatter objective turns rounding into score noise
-            adjusted = [[(v - m) / s for v, m, s in zip(row, los, spans)] for row in adjusted]
         scores = [min(row) for row in adjusted]
-        threshold = max(scores) - tie_tol
+        threshold = max(scores) - TIE_TOL
         # a score within rounding of the threshold has no exact side to be on
-        assume(all(abs(sc - threshold) > tie_tol / 10 for sc in scores))
+        assume(all(abs(sc - threshold) > TIE_TOL / 10 for sc in scores))
         keep = [i for i, sc in enumerate(scores) if sc >= threshold]
 
-        result = optimize(rules, c, directions, step, tie_tol, normalize)
+        result = optimize(rules, c, directions, step)
         assert result.points == tuple(tuple(grid[i]) for i in keep)
         for got, i in zip(result.values, keep):
             assert got == pytest.approx(values[i], abs=1e-12)

@@ -15,7 +15,6 @@ from lingopt.reasoning import (
     fire,
     lwa,
     solve_molop,
-    solve_solop,
     synthesize_consequent,
 )
 from lingopt.similarity import centroid_ekm_from_samples
@@ -170,18 +169,10 @@ class TestSolve:
     def test_solop_own_rule(self, hma):
         core = ("VP", "P", "A", "A", "P")
         rb = RuleBase((Rule("SS1", core, (AUTO,)),), (Objective("overall"),))
-        out = solve_solop(rb, core, hma)
+        (out,) = solve_molop(rb, core, hma)
         assert out.centroid.mean == pytest.approx(3.33, abs=0.05)
         assert out.decoded == "P"
         assert out.firings[0] == pytest.approx(1.0)
-
-    def test_solop_requires_single_objective(self, hma):
-        rb = RuleBase(
-            (Rule("r", ("A",), ("A", "G")),),
-            (Objective("f1"), Objective("f2")),
-        )
-        with pytest.raises(DomainError):
-            solve_solop(rb, ("A",), hma)
 
     def test_input_matching_one_rule_with_others_silent(self, hma):
         # far-apart antecedents: only the matching rule contributes
@@ -192,7 +183,7 @@ class TestSolve:
             ),
             (Objective("f"),),
         )
-        out = solve_solop(rb, ("VG", "VG"), hma)
+        (out,) = solve_molop(rb, ("VG", "VG"), hma)
         vg = hma.word("VG")
         assert out.firings[0] == 0.0
         np.testing.assert_allclose(out.fou.umf.vertices, vg.umf.vertices, atol=1e-9)

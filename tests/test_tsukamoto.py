@@ -112,26 +112,16 @@ class TestOptimize:
             assert values[0] == pytest.approx(0.5, abs=1e-3)
             assert values[1] == pytest.approx(0.5, abs=1e-3)
 
-    def test_normalized_compromise_moves_the_argmax(self):
-        # rescaling each objective over its feasible range is a different
-        # compromise: the balance point shifts away from the raw optimum,
-        # which is why raw max-min is the default
-        rules, constraint, directions = fixture("sm-molop")
-        result = optimize(rules, constraint, directions, normalize=True)
-        pts = {tuple(round(v, 2) for v in p) for p in result.points}
-        assert pts == {(0.11, 0.64), (0.64, 0.11)}
-        raw = optimize(rules, constraint, directions)
-        assert {tuple(round(v, 2) for v in p) for p in raw.points} == {(0.5, 0.25), (0.25, 0.5)}
-
     def test_near_constant_objective_reports_every_grid_point(self):
         # exp-shaped antecedents make the firing product depend only on
         # y1 + y2, so the objective is constant along the constraint line up
-        # to the piecewise-linear sampling error of the membership functions
-        xs = np.linspace(0, 1, 2001)
+        # to rounding: the membership functions are sampled on the step grid,
+        # so no grid point meets an interpolation error
+        xs = np.linspace(0, 1, 101)
         expish = MonotoneMf("custom", samples=(xs, np.exp(xs) / np.e))
         rules = (TsukamotoRule((expish, expish), (MonotoneMf("increasing"),)),)
         constraint = EqualityConstraint(1.0)
-        result = optimize(rules, constraint, ("max",), step=1e-2, tie_tol=1e-4)
+        result = optimize(rules, constraint, ("max",), step=1e-2)
         assert len(result.points) == 101
 
     def test_empty_feasible_set_rejected(self):

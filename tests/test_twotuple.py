@@ -151,10 +151,6 @@ class TestOverflow:
         report = overflow_check(TwoTuple(1, -0.25), FIVE)
         assert report.protrusion_left == pytest.approx(0.25)
 
-    def test_bad_half_width(self):
-        with pytest.raises(DomainError):
-            overflow_check(TwoTuple(3, 0.0), FIVE, half_width=0.0)
-
 
 class TestTermSet:
     def test_unique_labels_required(self):
