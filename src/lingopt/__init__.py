@@ -32,7 +32,6 @@ from .reasoning import (
     PrOutput,
     Rule,
     RuleBase,
-    decode,
     fire,
     fire_rules,
     lwa,

@@ -20,7 +20,6 @@ from . import tsukamoto as tsk
 from .codebook import (
     MAX_GRID,
     STUDENT_ENDPOINTS,
-    CodebookError,
     EndpointSpecError,
     format_data_intervals,
     load_codebook,
@@ -28,7 +27,7 @@ from .codebook import (
     parse_endpoint_specs,
     sample_person_fou,
 )
-from .fuzzy import DomainError, IT2Word, LingoptError, NoRuleFiredError
+from .fuzzy import IT2Word, LingoptError, NoRuleFiredError
 from .problems import (
     EngineMismatchError,
     ProblemBundle,
@@ -276,11 +275,8 @@ def main(argv=None) -> int:
     except (NoRuleFiredError, DegenerateWordError, OutOfScaleError) as e:
         print(f"lingopt: engine error: {e}", file=sys.stderr)
         return ENGINE_ERROR
-    except (ProblemError, CodebookError, EndpointSpecError, OSError) as e:
+    except (LingoptError, OSError) as e:
         print(f"lingopt: data error: {e}", file=sys.stderr)
-        return DATA_ERROR
-    except (DomainError, LingoptError) as e:
-        print(f"lingopt: error: {e}", file=sys.stderr)
         return DATA_ERROR
 
 

@@ -17,9 +17,9 @@ a line without ``=``, a key the section does not know and a key given twice.
 
     codebook v1
     scale = 0 10
-    encoder = HMA
-    generator = pcg64     # optional, names the RNG behind any sampled data
-    seed = 7              # optional
+    encoder = HMA         # optional, as are generator and seed: read, not kept
+    generator = pcg64
+    seed = 7              # must be an integer
 
     word VP
     umf = 0 0 2.04 3.84
@@ -90,7 +90,7 @@ class DataIntervalSet:
 
     word: str
     pairs: tuple[tuple[float, float], ...]
-    seed: Optional[int] = None
+    seed: int
 
     def __post_init__(self):
         for l, r in self.pairs:
@@ -112,9 +112,6 @@ class Codebook:
 
     scale: Interval
     words: tuple[IT2Word, ...]
-    encoder_tag: str = "external"
-    generator: Optional[str] = None
-    seed: Optional[int] = None
     _positions: dict[str, int] = field(init=False, repr=False, compare=False)
     _sampled: Optional[SampledCodebook] = field(default=None, init=False, repr=False, compare=False)
 
@@ -289,13 +286,13 @@ STUDENT_ENDPOINTS = [
 ]
 
 _FIXTURES = {
-    "paper-hma": lambda: _rows_to_codebook(_HMA_ROWS, "HMA"),
-    "paper-ia": lambda: _rows_to_codebook(_IA_ROWS, "IA"),
+    "paper-hma": lambda: _rows_to_codebook(_HMA_ROWS),
+    "paper-ia": lambda: _rows_to_codebook(_IA_ROWS),
 }
 FIXTURE_IDS = tuple(_FIXTURES)
 
 
-def _rows_to_codebook(rows, encoder_tag: str) -> Codebook:
+def _rows_to_codebook(rows) -> Codebook:
     words = []
     for name, umf, lmf, h, (cl, cr, mean) in rows:
         words.append(
@@ -306,7 +303,7 @@ def _rows_to_codebook(rows, encoder_tag: str) -> Codebook:
                 centroid=Centroid(cl, cr),
             )
         )
-    return _finish_load(Codebook(scale=_SCALE, words=tuple(words), encoder_tag=encoder_tag))
+    return _finish_load(Codebook(scale=_SCALE, words=tuple(words)))
 
 
 def _finish_load(cb: Codebook) -> Codebook:
@@ -345,7 +342,7 @@ def _finish_load(cb: Codebook) -> Codebook:
                 f"word {w.name!r}: centroid mean {cur:.4f} breaks the nondecreasing "
                 f"vocabulary order (previous {prev:.4f})"
             )
-    loaded = Codebook(cb.scale, tuple(out), cb.encoder_tag, cb.generator, cb.seed)
+    loaded = Codebook(cb.scale, tuple(out))
     object.__setattr__(loaded, "_sampled", scb)  # nothing in it depends on the centroids
     return loaded
 
@@ -481,24 +478,18 @@ def parse_codebook(text: str) -> Codebook:
         CodebookError,
     )
     scale = _scale(header, CodebookError)
-    seed = header.get("seed")
-    if seed is not None:
-        try:
-            seed = int(seed)
-        except ValueError:
-            raise CodebookError(f"seed must be an integer, got {seed!r}") from None
+    try:
+        int(header.get("seed", 0))
+    except ValueError:
+        raise CodebookError(f"seed must be an integer, got {header['seed']!r}") from None
     words = tuple(_parse_word(name, fields) for name, fields in records.items())
     if not words:
         raise CodebookError("codebook file has no words")
-    return _finish_load(Codebook(scale, words, header.get("encoder", "external"), header.get("generator"), seed))
+    return _finish_load(Codebook(scale, words))
 
 
 def format_codebook(cb: Codebook) -> str:
-    lines = ["codebook v1", f"scale = {cb.scale.lo:g} {cb.scale.hi:g}", f"encoder = {cb.encoder_tag}"]
-    if cb.generator:
-        lines.append(f"generator = {cb.generator}")
-    if cb.seed is not None:
-        lines.append(f"seed = {cb.seed}")
+    lines = ["codebook v1", f"scale = {cb.scale.lo:g} {cb.scale.hi:g}"]
     for w in cb.words:
         lines.append("")
         lines.append(f"word {w.name}")
@@ -536,8 +527,7 @@ def format_data_intervals(sets: Sequence[DataIntervalSet], seed: int) -> str:
     for ds in sets:
         lines.append("")
         lines.append(f"word {ds.word}")
-        if ds.seed is not None:
-            lines.append(f"seed = {ds.seed}")
+        lines.append(f"seed = {ds.seed}")
         for l, r in ds.pairs:
             lines.append(f"pair = {l!r} {r!r}")
     return "\n".join(lines) + "\n"

@@ -113,9 +113,6 @@ class IT2Word:
     lmf: Trapezoid
     centroid: Optional["Centroid"] = None
 
-    def membership(self, x: float) -> Interval:
-        return Interval(self.lmf.membership(x), self.umf.membership(x))
-
     def with_centroid(self, centroid: "Centroid") -> "IT2Word":
         return replace(self, centroid=centroid)
 

@@ -77,6 +77,8 @@ class ProblemBundle:
     rule_bases: tuple[RuleBase, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not self.terms or len(set(self.terms)) != len(self.terms):
+            raise ProblemError(f"terms must be nonempty and distinct, got {list(self.terms)}")
         names = [o.name for o in self.objectives]
         if len(set(names)) != len(names):
             raise ProblemError(f"duplicate objective names: {names}")
@@ -157,17 +159,25 @@ def solve_two_tuple_bundle(bundle: ProblemBundle) -> TwoTupleBundleResult:
     objectives: rule firings are products of antecedent indices and the
     explicit consequent indices are aggregated; auto consequents cannot be
     used here because the baseline has no word models to synthesise from.
+    A word that is not a term is a ProblemError naming its alternative.
     """
     ts = OrdinalTermSet(bundle.terms)
     outputs: dict[str, list[TwoTuple]] = {}
     single = len(bundle.objectives) == 1
     for alt in bundle.alternatives:
+
+        def index(word: str) -> int:
+            try:
+                return ts.index(word)
+            except DomainError as e:
+                raise ProblemError(f"alternative {alt.label!r}: {e}") from None
+
         if single:
             if alt.input is None:
                 raise EngineMismatchError(f"alternative {alt.label!r} has no input vector")
             obj = bundle.objectives[0]
             slots = obj.slots or tuple(range(1, len(alt.input) + 1))
-            indices = [ts.index(alt.input[i - 1]) for i in slots]
+            indices = [index(alt.input[i - 1]) for i in slots]
             outputs[alt.label] = [solop_aggregate(indices, ts)]
         else:
             rules = []
@@ -178,12 +188,7 @@ def solve_two_tuple_bundle(bundle: ProblemBundle) -> TwoTupleBundleResult:
                             f"rule {rule.label!r}: the 2-tuple engine needs explicit "
                             "consequent words, not auto synthesis"
                         )
-                rules.append(
-                    (
-                        [ts.index(a) for a in rule.antecedents],
-                        [ts.index(c) for c in rule.consequents],
-                    )
-                )
+                rules.append(([index(a) for a in rule.antecedents], [index(c) for c in rule.consequents]))
             outputs[alt.label] = molop_solve(rules, ts)
     betas = {label: [t.beta for t in outs] for label, outs in outputs.items()}
     return TwoTupleBundleResult(outputs, _rank(bundle, betas), ts)

@@ -7,8 +7,8 @@ consequent words through the linguistic weighted average.  With crisp
 firings and trapezoidal FOUs the average is itself a trapezoid, computed
 exactly from the vertices: the UMF is the firing-weighted average of the
 consequent UMFs, and the LMF the weighted average of the consequent LMFs cut
-at h, the smallest fired-consequent LMF height.  ``decode`` maps the output
-FOU back to the codebook word it is most Jaccard-similar to.
+at h, the smallest fired-consequent LMF height.  A solve decodes the output
+FOU to the codebook word it is most Jaccard-similar to.
 
 Inputs, antecedents and decoded words all come from one codebook, so it is
 sampled once per grid: ``Codebook.sampled`` keeps a ``SampledCodebook``,
@@ -26,7 +26,7 @@ row of the word nearest its average's centroid.  Only the output FOUs and
 the ``auto-word`` averages are sampled afresh, each on its own support.  A
 decode scores an output against every word at once, from the dense arrays
 over the output's support, by the kernel that fills the matrix's rows.
-``fire`` and ``decode`` run the same code through ``Codebook.sampled``.
+``fire`` runs the same code for one rule through ``Codebook.sampled``.
 """
 
 from __future__ import annotations
@@ -201,13 +201,6 @@ def fire_rules(rules: Sequence[Rule], inputs: Sequence[str], scb: SampledCodeboo
 def fire(rule: Rule, inputs: Sequence[str], cb: Codebook, d: Optional[Discretization] = None) -> float:
     """Minimum t-norm of slotwise Jaccard similarities between input and antecedents."""
     return float(fire_rules([rule], inputs, cb.sampled(d))[0])
-
-
-def decode(fou: IT2Word, cb: Codebook, d: Optional[Discretization] = None) -> str:
-    """Name of the codebook word the FOU is most Jaccard-similar to.  Exact
-    ties go to the later (larger-centroid) vocabulary word."""
-    scb = cb.sampled(d)
-    return _decode_jaccard(sample_word(fou, scb.d), scb)
 
 
 def _best(names: Sequence[str], scores: Sequence[float]) -> str:

@@ -27,6 +27,9 @@ from .fuzzy import DomainError, Interval, IT2Word, LingoptError, TOL, check_dire
 
 DEFAULT_POINTS = 1001  # grid points of a ``Discretization`` unless a caller asks for others
 RANK_TOL = 1e-9  # scores closer than this tie on one objective in ``rank_by_centroid``
+# most grid columns ``jaccard_rows`` takes the minima of at once; every support
+# on a grid of up to 10001 points fits in one chunk
+JACCARD_CHUNK = 16384
 
 
 class DegenerateWordError(LingoptError):
@@ -112,10 +115,17 @@ def jaccard_rows(upper: np.ndarray, lower: np.ndarray, mass: np.ndarray, s: Samp
     ``lower`` (V, N), whose sums are ``mass``.  The minima are nonzero only
     on the support of ``s``, and sum max(p, q) = sum p + sum q - sum min(p, q),
     so the denominator follows from the masses; where it is not positive the
-    score is 0."""
-    support = slice(s.start, s.start + s.xs.size)
-    num = (np.minimum(upper[:, support], s.upper).sum(axis=1)
-           + np.minimum(lower[:, support], s.lower).sum(axis=1))
+    score is 0.  The minima are summed in chunks of at most JACCARD_CHUNK
+    columns in one reused buffer, so a call's memory does not grow with the
+    support."""
+    k = s.xs.size
+    buf = np.empty((len(mass), min(k, JACCARD_CHUNK)))
+    num = np.zeros(len(mass))
+    for lo in range(0, k, JACCARD_CHUNK):
+        hi = min(lo + JACCARD_CHUNK, k)
+        cols, out = slice(s.start + lo, s.start + hi), buf[:, :hi - lo]
+        num += np.minimum(upper[:, cols], s.upper[lo:hi], out=out).sum(axis=1)
+        num += np.minimum(lower[:, cols], s.lower[lo:hi], out=out).sum(axis=1)
     den = mass + s.mass - num
     return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
 

@@ -8,8 +8,8 @@ exhaustive grid search along the equality-constraint line; this module is a
 verification baseline, not a solver.  The search is evaluated as arrays: the
 feasible grid is one (points, n) array and every objective is computed at
 every point in one pass over the rules.  ``crisp_output`` runs that same
-kernel on a single point.  Every membership function, built-in or custom, is
-one interpolated sample table.  ``optimize`` scores a point by the smallest of
+kernel on a single point.  Every membership function is one interpolated
+sample table.  ``optimize`` scores a point by the smallest of
 its direction-adjusted objective values (for one objective, that value) and
 keeps every point within TIE_TOL of the best score.
 """
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,32 +40,19 @@ class GridStepError(DomainError):
 class MonotoneMf:
     """Strictly monotone membership function, invertible by design: the
     piecewise-linear interpolation of samples (xs, mus), held at the end
-    values outside them.
+    values outside them.  INCREASING (mu = x) and DECREASING (mu = 1 - x)
+    are the two-point tables on [0, 1]."""
 
-    Kind "custom" takes its own samples; the built-in kinds are two-point
-    samples on [0, 1]: "increasing" (mu = x) and "decreasing" (mu = 1 - x).
-    """
-
-    def __init__(
-        self, kind: str = "increasing", samples: Optional[tuple[Sequence[float], Sequence[float]]] = None
-    ):
-        if kind in ("increasing", "decreasing"):
-            if samples is not None:
-                raise DomainError("samples are only for kind='custom'")
-            samples = ((0.0, 1.0), (0.0, 1.0) if kind == "increasing" else (1.0, 0.0))
-        elif kind != "custom":
-            raise DomainError(f"unknown membership kind {kind!r}")
-        elif samples is None:
-            raise DomainError("kind='custom' needs (xs, mus) samples")
-        xs = np.asarray(samples[0], dtype=float)
-        mus = np.asarray(samples[1], dtype=float)
+    def __init__(self, xs: Sequence[float], mus: Sequence[float]):
+        xs = np.asarray(xs, dtype=float)
+        mus = np.asarray(mus, dtype=float)
         if xs.size < 2 or xs.size != mus.size:
-            raise DomainError("custom samples need matching xs/mus of length >= 2")
+            raise DomainError("samples need matching xs/mus of length >= 2")
         if not np.all(np.diff(xs) > 0):
-            raise DomainError("custom sample xs must be strictly increasing")
+            raise DomainError("sample xs must be strictly increasing")
         d = np.diff(mus)
         if not (np.all(d > 0) or np.all(d < 0)):
-            raise DomainError("custom samples must be strictly monotone (invertible)")
+            raise DomainError("samples must be strictly monotone (invertible)")
         self._curve = (xs, mus)
         # np.interp needs increasing sample points, so a decreasing inverse reads them reversed
         self._inverse = (mus, xs) if mus[0] < mus[-1] else (mus[::-1], xs[::-1])
@@ -75,6 +62,10 @@ class MonotoneMf:
 
     def inverse(self, alpha):
         return np.interp(alpha, *self._inverse)
+
+
+INCREASING = MonotoneMf((0.0, 1.0), (0.0, 1.0))
+DECREASING = MonotoneMf((0.0, 1.0), (1.0, 0.0))
 
 
 @dataclass(frozen=True)
@@ -235,8 +226,7 @@ def fixture(name: str):
     """
     if name not in FIXTURES:
         raise DomainError(f"unknown fixture {name!r}; have {', '.join(map(repr, FIXTURES))}")
-    dec = MonotoneMf("decreasing")
-    inc = MonotoneMf("increasing")
+    dec, inc = DECREASING, INCREASING
     if name == "sm-solop":
         rules = (
             TsukamotoRule((dec, dec), (dec,)),

@@ -6,7 +6,7 @@ import pytest
 
 from lingopt.codebook import load_codebook
 from lingopt.fuzzy import TOL, DomainError, Interval, IT2Word, NoRuleFiredError, Trapezoid
-from lingopt.reasoning import AUTO, AUTO_WORD
+from lingopt.reasoning import AUTO, AUTO_WORD, _decode_jaccard
 from lingopt.similarity import Centroid, SampledWord, centroid_ekm_from_samples, jaccard, sample_word
 
 
@@ -186,6 +186,12 @@ def jaccard_pairwise(a: SampledWord, b: SampledWord) -> float:
         )
     den = a.mass + b.mass - num
     return num / den if den > 0.0 else 0.0
+
+
+def decode(fou: IT2Word, cb, d=None) -> str:
+    """The decode a solve runs, for one FOU: its sample scored against ``cb.sampled(d)``."""
+    scb = cb.sampled(d)
+    return _decode_jaccard(sample_word(fou, scb.d), scb)
 
 
 def decode_oracle(s, cb, d):

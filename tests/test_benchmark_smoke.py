@@ -4,9 +4,11 @@ run checks its query outputs against one whole-bundle solve.  The traced
 runs go through the tracer's wrappers, so a change that breaks the traced
 harness fails here too.  Each run's result line must be strict JSON and
 carry exactly the metrics BENCHMARK.json declares for its mode, and every
-layer the tracer names must still resolve to a function.  The runs work on a
-copy of the sources, so the records they write leave the checkout's
-benchmarks/out/ as it was."""
+layer the tracer names must still resolve to a function.  A traced run's
+record must name no absent layer, and must record calls for every layer its
+workload is known to reach, so a rename cannot zero a layer unnoticed.  The
+runs work on a copy of the sources, so the records they write leave the
+checkout's benchmarks/out/ as it was."""
 
 import importlib.util
 import json
@@ -69,9 +71,24 @@ def test_synthetic_workload_runs_clean(harness_copy, workload):
     run_clean(harness_copy, workload)
 
 
+SOLVE_LAYERS = ["fuzzy.membership_grid", "problems.solve_pr", "reasoning.lwa", "similarity.centroid",
+                "similarity.rank"]
+# layers each workload's traced run records calls for
+LIVE_LAYERS = {
+    "case-study": SOLVE_LAYERS + ["cli", "codebook.load", "codebook.sample", "problems.solve_two_tuple",
+                                  "tsukamoto.optimize"],
+    "pr-scale": SOLVE_LAYERS,
+    "synth-fine": SOLVE_LAYERS,
+}
+
+
 @pytest.mark.parametrize("workload", ["case-study", "pr-scale", "synth-fine"])
 def test_traced_workload_runs_clean(harness_copy, workload):
     run_clean(harness_copy, workload, trace="1")
+    record = json.loads((harness_copy / "benchmarks" / "out" / f"{workload}-seed1-trace1.json").read_text())
+    assert record["absent_layers"] == []
+    live = {name for name, row in record["layers"].items() if row["calls"]}
+    assert sorted(set(LIVE_LAYERS[workload]) - live) == []
 
 
 def test_every_tracer_layer_resolves():

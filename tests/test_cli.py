@@ -351,10 +351,11 @@ class TestExitCodes:
     def test_data_error_non_integer_codebook_seed(self, capsys, tmp_path):
         text = format_codebook(load_codebook("paper-hma"))
         path = tmp_path / "bad.txt"
-        path.write_text(text.replace("encoder = HMA", "encoder = HMA\nseed = x", 1))
+        path.write_text(text.replace("scale = 0 10", "scale = 0 10\nseed = x", 1))
         code, _, err = run_cli(capsys, "solve", "pr", "--problem", "case-solop", "--codebook", str(path))
         assert code == 3
         self.assert_one_line(err, "data")
+        assert "seed must be an integer" in err
 
     ENDPOINTS = "endpoints v1\nscale = 0 10\nword VP\nleft = 0 0\nright = 2 3\n"
 
@@ -398,7 +399,7 @@ class TestExitCodes:
         [
             ("codebook", "centroid = 1.29", "centroidd = 9 9 9\ncentroid = 1.29"),  # unknown in a word
             ("codebook", "umf = 0.0 0.0 2.04", "umf = 0 0 2 3\numf = 0.0 0.0 2.04"),  # repeated in a word
-            ("codebook", "encoder = HMA", "encoder = HMA\nencoder = IA"),  # repeated in the header
+            ("codebook", "scale = 0 10", "scale = 0 10\nencoder = HMA\nencoder = IA"),  # repeated in the header
             ("endpoints", "right = 2 3", "right = 2 3\nmiddle = 1 2"),  # unknown in a word
             ("endpoints", "left = 0 0", "left = 0 0\nleft = 0 1"),  # repeated in a word
             ("problem", "ranking = overall", "ranking = overall\nrankings = overall"),  # unknown in the header
@@ -440,6 +441,32 @@ class TestExitCodes:
         assert out == ""
         self.assert_one_line(err, "data")
 
+    @pytest.mark.parametrize("objectives,rule", [
+        ("objective = o max\n", "rule r | A VG | G\n"),
+        ("objective = o max\nobjective = p min\n", "rule r | A VG | G G\n"),
+    ], ids=["input-word", "rule-word"])
+    def test_data_error_word_not_a_term(self, capsys, tmp_path, objectives, rule):
+        # VG is a codebook word but not one of the terms the 2-tuple engine indexes
+        path = tmp_path / "problem.txt"
+        path.write_text("problem v1\nterms = VP P A G\n" + objectives + rule
+                        + "alternative x | rules = r | input = A VG\n")
+        code, out, err = run_cli(capsys, "solve", "two-tuple", "--problem", str(path))
+        assert (code, out) == (3, "")
+        self.assert_one_line(err, "data")
+        assert "alternative 'x'" in err and "'VG'" in err
+
+    @pytest.mark.parametrize("terms", ["VP P P G VG", ""], ids=["repeated", "empty"])
+    @pytest.mark.parametrize("engine", ["pr", "two-tuple"])
+    def test_data_error_bad_terms(self, capsys, tmp_path, engine, terms):
+        # the terms are the 2-tuple scale, so every engine refuses a bundle without a usable one
+        path = tmp_path / "problem.txt"
+        path.write_text(f"problem v1\nterms = {terms}\nobjective = o max\n"
+                        "rule r | A G | G\nalternative x | rules = r | input = A G\n")
+        code, out, err = run_cli(capsys, "solve", engine, "--problem", str(path))
+        assert (code, out) == (3, "")
+        self.assert_one_line(err, "data")
+        assert "terms" in err
+
     def test_error_codebook_past_the_cell_budget(self, capsys, tmp_path):
         # 26 words at the largest grid would need two 26 x MAX_GRID arrays
         # (416 MB); the product is refused before either is allocated
@@ -463,7 +490,7 @@ class TestExitCodes:
             tracemalloc.stop()
         assert code == 3
         assert out == ""
-        assert err.startswith("lingopt: error:") and err.count("\n") == 1
+        assert err.startswith("lingopt: data error:") and err.count("\n") == 1
         assert "more than the budget" in err
         assert peak < 20e6
 

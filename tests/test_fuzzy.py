@@ -102,17 +102,17 @@ class TestClassifyFou:
 
 class TestMembershipEnvelope:
     def test_outside_support_is_zero(self, hma):
-        env = hma.word("VP").membership(9.5)
-        assert (env.lo, env.hi) == (0.0, 0.0)
+        w = hma.word("VP")
+        assert (w.lmf.membership(9.5), w.umf.membership(9.5)) == (0.0, 0.0)
 
     def test_plateau_lookup(self, hma):
-        env = hma.word("A").membership(5.0)
-        assert (env.lo, env.hi) == (1.0, 1.0)
+        w = hma.word("A")
+        assert (w.lmf.membership(5.0), w.umf.membership(5.0)) == (1.0, 1.0)
 
     def test_lmf_plateau_height(self, ia):
-        env = ia.word("A").membership(4.99)
-        assert env.lo == pytest.approx(0.88)
-        assert env.hi == 1.0
+        w = ia.word("A")
+        assert w.lmf.membership(4.99) == pytest.approx(0.88)
+        assert w.umf.membership(4.99) == 1.0
 
 
 class TestWordValidation:

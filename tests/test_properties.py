@@ -16,6 +16,7 @@ from conftest import (
     assert_alpha_cuts_are_weighted_averages,
     centroid_brute,
     classify_fou,
+    decode,
     decode_oracle,
     jaccard_oracle,
     lwa_oracle,
@@ -34,7 +35,6 @@ from lingopt.reasoning import (
     Objective,
     Rule,
     RuleBase,
-    decode,
     fire,
     fire_rules,
     lwa,
@@ -52,6 +52,8 @@ from lingopt.similarity import (
 )
 from lingopt.tsukamoto import (
     EqualityConstraint,
+    DECREASING,
+    INCREASING,
     MonotoneMf,
     NoRuleFiredError,
     TIE_TOL,
@@ -191,7 +193,7 @@ def oracle_decode(fou: IT2Word, cb: Codebook, d) -> str:
 
 
 def assert_fire_and_decode_match_oracle(cb: Codebook, d, rules, inputs, firings):
-    """``fire_rules`` on ``cb.sampled(d)``, public ``fire`` and ``decode`` of
+    """``fire_rules`` on ``cb.sampled(d)``, public ``fire`` and the decode of
     an LWA output and of every word agree with the oracle on ``d``."""
     for rule, level in zip(rules, fire_rules(rules, inputs, cb.sampled(d))):
         expected = min(jaccard_oracle(cb.word(x), cb.word(a), d) for x, a in zip(inputs, rule.antecedents))
@@ -411,7 +413,7 @@ def monotone_specs(draw):
 
 
 def monotone_mf(spec) -> MonotoneMf:
-    return MonotoneMf(spec[0], samples=spec[1:] or None)
+    return {"increasing": INCREASING, "decreasing": DECREASING}.get(spec[0]) or MonotoneMf(*spec[1:])
 
 
 class TestTsukamotoOracle:
@@ -636,9 +638,7 @@ def loaded_codebooks(draw) -> Codebook:
         except DegenerateWordError:
             assume(False)
     words.sort(key=lambda w: w.centroid.mean)
-    generator = draw(st.none() | TOKENS)
-    seed = draw(st.none() | st.integers(-(2**63), 2**63))
-    return Codebook(scale, tuple(words), draw(TOKENS), generator, seed)
+    return Codebook(scale, tuple(words))
 
 
 @st.composite
@@ -665,7 +665,7 @@ def problem_bundles(draw) -> ProblemBundle:
         for label in draw(st.lists(TOKENS, min_size=1, max_size=3, unique=True))
     )
     ranking = tuple(draw(st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True)))
-    terms = tuple(draw(st.lists(TOKENS, min_size=1, max_size=5)))
+    terms = tuple(draw(st.lists(TOKENS, min_size=1, max_size=5, unique=True)))
     return ProblemBundle(draw(TOKENS), objectives, alternatives, ranking, terms, draw(TOKENS))
 
 

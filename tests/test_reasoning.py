@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import assert_alpha_cuts_are_weighted_averages
+from conftest import assert_alpha_cuts_are_weighted_averages, decode
 from lingopt.fuzzy import DomainError
 import lingopt.reasoning as reasoning
 from lingopt.reasoning import (
@@ -11,7 +11,6 @@ from lingopt.reasoning import (
     Objective,
     Rule,
     RuleBase,
-    decode,
     fire,
     lwa,
     solve_molop,

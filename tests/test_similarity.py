@@ -1,15 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import centroid_brute, random_word, translate
+from lingopt.codebook import MAX_GRID, Codebook
 from lingopt.fuzzy import DomainError, Interval, IT2Word, Trapezoid
 from lingopt.similarity import (
+    JACCARD_CHUNK,
     Centroid,
     DegenerateWordError,
     Discretization,
     centroid_ekm,
     jaccard,
+    jaccard_rows,
     rank_by_centroid,
+    sample_word,
 )
 
 
@@ -46,6 +52,25 @@ class TestJaccard:
             prev = sim
             if offset >= 3.0:  # supports disjoint from here on
                 assert sim == 0.0
+
+    @pytest.mark.parametrize("width", [1.0, 10.0], ids=["K=100001", "K=1000001"])
+    def test_one_call_memory_is_bounded_by_the_chunk_buffer(self, hma, width):
+        # on the largest grid a support of K columns is summed through one
+        # (V, JACCARD_CHUNK) buffer, however large K is
+        cb = Codebook(hma.scale, hma.words[:2])
+        scb = cb.sampled(cb.discretization(MAX_GRID))
+        w = IT2Word("w", Trapezoid(0.0, 0.0, width, width), Trapezoid(0.0, 0.0, width, width, 0.5))
+        s = sample_word(w, scb.d)
+        buffer = len(scb.mass) * JACCARD_CHUNK * 8
+        tracemalloc.start()
+        try:
+            scores = jaccard_rows(scb.upper, scb.lower, scb.mass, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s.xs.size == round(width * (MAX_GRID - 1) / 10) + 1
+        assert peak < 2 * buffer
+        assert scores.tolist() == [jaccard(w, v, scb.d) for v in cb.words]
 
     def test_scale_mismatch_rejected(self, hma):
         tight = Discretization(101, Interval(0.0, 5.0))

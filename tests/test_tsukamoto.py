@@ -3,6 +3,8 @@ import pytest
 
 from lingopt.fuzzy import DomainError
 from lingopt.tsukamoto import (
+    DECREASING,
+    INCREASING,
     EqualityConstraint,
     MonotoneMf,
     NoRuleFiredError,
@@ -15,7 +17,7 @@ from lingopt.tsukamoto import (
 
 class TestMonotoneMf:
     def test_linear_kinds(self):
-        inc, dec = MonotoneMf("increasing"), MonotoneMf("decreasing")
+        inc, dec = INCREASING, DECREASING
         assert inc(0.25) == 0.25
         assert dec(0.25) == 0.75
         assert inc.inverse(0.4) == 0.4
@@ -23,17 +25,13 @@ class TestMonotoneMf:
 
     def test_custom_inverse_round_trip(self):
         xs = np.linspace(0, 1, 11)
-        mf = MonotoneMf("custom", samples=(xs, xs**2 * 0.9 + 0.05))
+        mf = MonotoneMf(xs, xs**2 * 0.9 + 0.05)
         for x in (0.1, 0.5, 0.9):
             assert mf.inverse(mf(x)) == pytest.approx(x, abs=1e-9)
 
     def test_non_monotone_rejected(self):
         with pytest.raises(DomainError, match="monotone"):
-            MonotoneMf("custom", samples=([0, 0.5, 1.0], [0.0, 1.0, 0.0]))
-
-    def test_unknown_kind(self):
-        with pytest.raises(DomainError):
-            MonotoneMf("sigmoid")
+            MonotoneMf([0, 0.5, 1.0], [0.0, 1.0, 0.0])
 
 
 class TestCrispOutput:
@@ -118,8 +116,8 @@ class TestOptimize:
         # to rounding: the membership functions are sampled on the step grid,
         # so no grid point meets an interpolation error
         xs = np.linspace(0, 1, 101)
-        expish = MonotoneMf("custom", samples=(xs, np.exp(xs) / np.e))
-        rules = (TsukamotoRule((expish, expish), (MonotoneMf("increasing"),)),)
+        expish = MonotoneMf(xs, np.exp(xs) / np.e)
+        rules = (TsukamotoRule((expish, expish), (INCREASING,)),)
         constraint = EqualityConstraint(1.0)
         result = optimize(rules, constraint, ("max",), step=1e-2)
         assert len(result.points) == 101
