@@ -31,7 +31,6 @@ from .fuzzy import IT2Word, LingoptError, NoRuleFiredError
 from .problems import (
     EngineMismatchError,
     ProblemBundle,
-    ProblemError,
     load_problem,
     solve_pr_bundle,
     solve_two_tuple_bundle,
@@ -198,7 +197,7 @@ def _cmd_export_fou(args) -> int:
         cb = load_codebook(args.codebook)
         items = [(w.name, w) for w in cb.words]
     else:
-        raise ProblemError("export-fou needs --codebook and/or --problem")
+        raise UsageError("export-fou needs --codebook and/or --problem")
 
     lines = ["name,curve,x1,mu1,x2,mu2,x3,mu3,x4,mu4"]
     for name, w in items:
@@ -229,7 +228,7 @@ def _write_out(out: str, text: str) -> None:
     if out == "-":
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        Path(out).write_text(text, encoding="utf-8")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -324,7 +324,7 @@ def _finish_load(cb: Codebook) -> Codebook:
                 f"[{cb.scale.lo:g}, {cb.scale.hi:g}]"
             ) from None
         if w.centroid is None:
-            w = w.with_centroid(computed)
+            w = replace(w, centroid=computed)
         elif (
             abs(w.centroid.cl - computed.cl) > CENTROID_CACHE_TOL
             or abs(w.centroid.cr - computed.cr) > CENTROID_CACHE_TOL
@@ -355,13 +355,17 @@ def load_codebook(source: Union[str, Path]) -> Codebook:
 def load_source(source: Union[str, Path], fixtures: Mapping[str, Callable[[], _T]],
                 parse: Callable[[str], _T], kind: str, error: type[LingoptError]) -> _T:
     """The fixture ``source`` names, built by its entry in ``fixtures``, or
-    ``parse`` of the text of the file it names; otherwise ``error``."""
+    ``parse`` of the UTF-8 text of the file it names; otherwise ``error``."""
     if source in fixtures:
         return fixtures[source]()
     path = Path(source)
     if not path.exists():
         raise error(f"no such {kind} fixture or file: {source!r}")
-    return parse(path.read_text())
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise error(f"{kind} file {source!r} is not UTF-8 text: byte {e.start} cannot be decoded") from None
+    return parse(text)
 
 
 # ---------------------------------------------------------------------------
@@ -486,20 +490,6 @@ def parse_codebook(text: str) -> Codebook:
     if not words:
         raise CodebookError("codebook file has no words")
     return _finish_load(Codebook(scale, words))
-
-
-def format_codebook(cb: Codebook) -> str:
-    lines = ["codebook v1", f"scale = {cb.scale.lo:g} {cb.scale.hi:g}"]
-    for w in cb.words:
-        lines.append("")
-        lines.append(f"word {w.name}")
-        # float() first: the repr of a numpy scalar is not a number the parser reads
-        lines.append("umf = " + " ".join(repr(float(v)) for v in w.umf.vertices))
-        lines.append("lmf = " + " ".join(repr(float(v)) for v in (*w.lmf.vertices, w.lmf.h)))
-        if w.centroid is not None:
-            c = w.centroid
-            lines.append("centroid = " + " ".join(repr(float(v)) for v in (c.cl, c.cr, c.mean)))
-    return "\n".join(lines) + "\n"
 
 
 def parse_endpoint_specs(text: str) -> list[EndpointSpec]:

@@ -8,7 +8,7 @@ immutable; every operation here is a pure function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
@@ -112,9 +112,6 @@ class IT2Word:
     umf: Trapezoid
     lmf: Trapezoid
     centroid: Optional["Centroid"] = None
-
-    def with_centroid(self, centroid: "Centroid") -> "IT2Word":
-        return replace(self, centroid=centroid)
 
     def validate(self) -> None:
         """Raise DomainError if the word breaks an IT2 invariant."""

@@ -317,12 +317,6 @@ def _parse_slots(spec: str, antecedents: int) -> tuple[int, ...]:
     return tuple(slots)
 
 
-def _format_slots(slots: tuple[int, ...]) -> str:
-    if list(slots) == list(range(slots[0], slots[-1] + 1)):
-        return f"{slots[0]}-{slots[-1]}" if len(slots) > 1 else str(slots[0])
-    return ",".join(str(s) for s in slots)
-
-
 def parse_problem(text: str) -> ProblemBundle:
     header: dict[str, str] = {}
     objective_specs: list[list[str]] = []  # name, direction[, "slots", slot spec]
@@ -375,33 +369,3 @@ def parse_problem(text: str) -> ProblemBundle:
     ranking = tuple(header["ranking"].split()) if "ranking" in header else (objectives[0].name,)
     return ProblemBundle(header.get("name", "unnamed"), tuple(objectives), tuple(alternatives), ranking,
                          tuple(header["terms"].split()), header.get("codebook", "paper-hma"))
-
-
-def format_problem(bundle: ProblemBundle) -> str:
-    lines = [
-        "problem v1",
-        f"name = {bundle.name}",
-        f"codebook = {bundle.codebook_id}",
-        "terms = " + " ".join(bundle.terms),
-    ]
-    for o in bundle.objectives:
-        if o.slots:
-            lines.append(f"objective = {o.name} {o.direction} slots {_format_slots(o.slots)}")
-        else:
-            lines.append(f"objective = {o.name} {o.direction}")
-    lines.append("ranking = " + " ".join(bundle.ranking))
-    seen = set()
-    for alt in bundle.alternatives:
-        for r in alt.rules:
-            if r.label in seen:
-                continue
-            seen.add(r.label)
-            lines.append(
-                f"rule {r.label} | " + " ".join(r.antecedents) + " | " + " ".join(r.consequents)
-            )
-    for alt in bundle.alternatives:
-        parts = [alt.label, "rules = " + " ".join(r.label for r in alt.rules)]
-        if alt.input is not None:
-            parts.append("input = " + " ".join(alt.input))
-        lines.append("alternative " + " | ".join(parts))
-    return "\n".join(lines) + "\n"

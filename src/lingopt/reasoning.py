@@ -18,15 +18,16 @@ matrix of Jaccard similarities, for every solve on that codebook and grid.
 A solve compiles its rules to word positions: an (R, n) array of
 antecedents, whose firings are one gather from the matrix and one minimum
 per row, and per objective an (R,) array of consequent rows, which ``lwa``
-averages as one firing-weighted array product.  ``auto`` and ``auto-word``
-consequents are the equal-weight averages of their antecedents' codebook
-rows, all of an objective's taken as one batch by the kernel ``lwa`` uses;
-an ``auto`` entry adds its average as a row, and an ``auto-word`` entry the
-row of the word nearest its average's centroid.  Only the output FOUs and
-the ``auto-word`` averages are sampled afresh, each on its own support.  A
-decode scores an output against every word at once, from the dense arrays
-over the output's support, by the kernel that fills the matrix's rows.
-``fire`` runs the same code for one rule through ``Codebook.sampled``.
+averages as one firing-weighted array product.  An ``auto`` consequent is
+the equal-weight average of its antecedents' codebook rows; an objective's
+``auto`` entries are taken as one batch by the kernel ``lwa`` uses, and each
+adds its average as a row.  An ``auto-word`` entry takes the row of the word
+``synthesize_consequent`` decodes: the one whose centroid is nearest that of
+the same average.  Only the output FOUs and the ``auto-word`` averages are
+sampled afresh, each on its own support.  A decode scores an output against
+every word at once, from the dense arrays over the output's support, by the
+kernel that fills the matrix's rows.  ``fire`` runs the same code for one
+rule through ``Codebook.sampled``.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 
 from .codebook import Codebook, SampledCodebook
 from .fuzzy import DomainError, IT2Word, NoRuleFiredError, Trapezoid, check_direction, vertex_rows
-from .similarity import Centroid, Discretization, SampledWord, centroid_sampled, sample_word
+from .similarity import Centroid, Discretization, centroid_sampled, sample_word
 
 AUTO = "auto"  # consequent synthesised from antecedents, kept as a raw FOU
 AUTO_WORD = "auto-word"  # synthesised, then decoded to the nearest codebook word
@@ -165,13 +166,9 @@ def lwa(consequents: Union[Sequence[IT2Word], ConsequentRows], firings: Sequence
     # only the fired rows enter the products: a zero-weight row would still
     # change the order in which they are summed
     at = rows.at[fired][None]
-    return _word(*_average_rows(firings[fired], rows.umf[at], rows.lmf[at], rows.lmf_h[at]), 0)
-
-
-def _word(out: np.ndarray, h: np.ndarray, b: int) -> IT2Word:
-    """Average ``b`` of those ``_average_rows`` returns, as a trapezoid word."""
-    umf, lmf = out[:, b].tolist()
-    return IT2Word("", Trapezoid(*umf, 1.0), Trapezoid(*lmf, float(h[b])))
+    out, h = _average_rows(firings[fired], rows.umf[at], rows.lmf[at], rows.lmf_h[at])
+    umf, lmf = out[:, 0].tolist()
+    return IT2Word("", Trapezoid(*umf, 1.0), Trapezoid(*lmf, float(h[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +212,6 @@ def _best(names: Sequence[str], scores: Sequence[float]) -> str:
     return best
 
 
-def _decode_jaccard(s: SampledWord, scb: SampledCodebook) -> str:
-    return _best(scb.names, scb.scores(s).tolist())
-
-
 def _decode_mean(mean: float, cb: Codebook) -> str:
     return _best(cb.names, [-abs(w.centroid.mean - mean) for w in cb.words])
 
@@ -254,31 +247,28 @@ def _consequent_rows(rules: Sequence[Rule], k: int, objective: Objective, cb: Co
                      scb: SampledCodebook) -> ConsequentRows:
     """The rules' k-th consequents as rows of the codebook's vertex arrays.
 
-    ``auto`` and ``auto-word`` entries are averaged from their antecedent
-    rows at the objective's slots, all taken as one equal-weight batch.  An
-    ``auto`` entry's average is a row appended after the codebook's; an
-    ``auto-word`` entry's is sampled and reduced to its centroid, and the
-    entry takes the row of the word nearest that centroid's mean.
+    Both synthesised kinds draw on the antecedents at the objective's slots.
+    An ``auto-word`` entry takes the row of the word ``synthesize_consequent``
+    decodes.  The ``auto`` entries are averaged as one equal-weight batch,
+    and each entry's average is a row appended after the codebook's.
     """
     names = [r.consequents[k] for r in rules]
-    synth = [i for i, entry in enumerate(names) if entry in (AUTO, AUTO_WORD)]
-    umf, lmf, lmf_h = scb.rows
-    if not synth:
-        return ConsequentRows(umf, lmf, lmf_h, scb.positions(names))
     slots = np.subtract(objective.slots or range(1, len(rules[0].antecedents) + 1), 1)
-    words = scb.positions(chain.from_iterable(rules[i].antecedents for i in synth))
-    words = words.reshape(len(synth), -1)[:, slots]  # (E, s)
-    out, h = _average_rows(np.ones(len(slots)), umf[words], lmf[words], lmf_h[words])
-    auto, rows = [], []  # rule positions and batch rows of the ``auto`` entries
-    for e, i in enumerate(synth):
-        if names[i] == AUTO:
+    auto = []  # rule positions of the ``auto`` entries
+    for i, entry in enumerate(names):
+        if entry == AUTO_WORD:
+            names[i] = synthesize_consequent([rules[i].antecedents[s] for s in slots], cb, scb.d).word
+        elif entry == AUTO:
             auto.append(i)
-            rows.append(e)
             names[i] = rules[i].antecedents[0]  # any codebook word: its row is replaced below
-        else:
-            names[i] = _decode_mean(centroid_sampled(sample_word(_word(out, h, e), scb.d)).mean, cb)
+    umf, lmf, lmf_h = scb.rows
     at = scb.positions(names)
-    at[auto] = len(umf) + np.array(rows, dtype=np.intp)
+    if not auto:
+        return ConsequentRows(umf, lmf, lmf_h, at)
+    words = scb.positions(chain.from_iterable(rules[i].antecedents for i in auto))
+    words = words.reshape(len(auto), -1)[:, slots]  # (E, s)
+    out, h = _average_rows(np.ones(len(slots)), umf[words], lmf[words], lmf_h[words])
+    at[auto] = len(umf) + np.arange(len(auto))
     umf, lmf = np.concatenate((umf, out[0])), np.concatenate((lmf, out[1]))
     return ConsequentRows(umf, lmf, np.concatenate((lmf_h, h)), at)
 
@@ -301,7 +291,8 @@ class PrOutput:
 def _finish(fou: IT2Word, firings: tuple[float, ...], scb: SampledCodebook) -> PrOutput:
     s = sample_word(fou, scb.d)
     centroid = centroid_sampled(s)
-    return PrOutput(fou=fou, centroid=centroid, decoded=_decode_jaccard(s, scb), firings=firings)
+    return PrOutput(fou=fou, centroid=centroid, decoded=_best(scb.names, scb.scores(s).tolist()),
+                    firings=firings)
 
 
 def solve_molop(

@@ -121,16 +121,11 @@ def molop_solve(
 @dataclass(frozen=True)
 class OverflowReport:
     term: str
-    protrusion_left: float  # index units, as is protrusion_right
-    protrusion_right: float
+    protrusion: float  # index units past the nearer scale end, 0 inside the scale
 
     @property
     def protrudes(self) -> bool:
-        return self.protrusion_left > 0.0 or self.protrusion_right > 0.0
-
-    @property
-    def protrusion(self) -> float:
-        return max(self.protrusion_left, self.protrusion_right)
+        return self.protrusion > 0.0
 
 
 def overflow_check(t: TwoTuple, ts: OrdinalTermSet) -> OverflowReport:
@@ -145,8 +140,4 @@ def overflow_check(t: TwoTuple, ts: OrdinalTermSet) -> OverflowReport:
     lo, hi = 1.0, float(ts.g)
     left = max(t.index - 1.0, lo) + t.alpha
     right = min(t.index + 1.0, hi) + t.alpha
-    return OverflowReport(
-        term=ts.label(t.index),
-        protrusion_left=max(0.0, lo - left),
-        protrusion_right=max(0.0, right - hi),
-    )
+    return OverflowReport(term=ts.label(t.index), protrusion=max(0.0, lo - left, right - hi))

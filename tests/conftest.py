@@ -4,9 +4,10 @@ from enum import Enum
 import numpy as np
 import pytest
 
-from lingopt.codebook import load_codebook
+from lingopt.codebook import Codebook, load_codebook
 from lingopt.fuzzy import TOL, DomainError, Interval, IT2Word, NoRuleFiredError, Trapezoid
-from lingopt.reasoning import AUTO, AUTO_WORD, _decode_jaccard
+from lingopt.problems import ProblemBundle
+from lingopt.reasoning import AUTO, AUTO_WORD, _best
 from lingopt.similarity import Centroid, SampledWord, centroid_ekm_from_samples, jaccard, sample_word
 
 
@@ -134,6 +135,33 @@ def jaccard_oracle(a: IT2Word, b: IT2Word, d) -> float:
     return math.fsum(num) / total if total else 0.0
 
 
+def exact_jaccard(a, b) -> float:
+    """Jaccard oracle without a grid: the ratio of the integrals of
+    min(UMF_a, UMF_b) + min(LMF_a, LMF_b) and of the maxima.  The real line is
+    split at every vertex of the four trapezoids, where each membership is
+    linear between splits, and again where two memberships cross, so min and
+    max are linear on every piece and integrate exactly as width times the
+    value at the piece's midpoint.  Reads only scalar ``Trapezoid.membership``."""
+    xs = sorted(set(a.umf.vertices + a.lmf.vertices + b.umf.vertices + b.lmf.vertices))
+    lo, hi = [], []
+    for p, q in ((a.umf, b.umf), (a.lmf, b.lmf)):
+        for x0, x1 in zip(xs, xs[1:]):
+            # p - q is linear inside (x0, x1); a vertical edge may sit at either
+            # end, so its end values come from the points a quarter in
+            u, v = x0 + 0.25 * (x1 - x0), x0 + 0.75 * (x1 - x0)
+            du, dv = p.membership(u) - q.membership(u), p.membership(v) - q.membership(v)
+            e0, e1 = du - 0.5 * (dv - du), dv + 0.5 * (dv - du)
+            cuts = [x0, x1]
+            if e0 * e1 < 0.0:
+                cuts.insert(1, x0 + (x1 - x0) * e0 / (e0 - e1))
+            for s0, s1 in zip(cuts, cuts[1:]):
+                m = 0.5 * (s0 + s1)
+                fp, fq = p.membership(m), q.membership(m)
+                lo.append((s1 - s0) * min(fp, fq))
+                hi.append((s1 - s0) * max(fp, fq))
+    return math.fsum(lo) / math.fsum(hi)
+
+
 def lwa_oracle(words, firings) -> IT2Word:
     """LWA oracle: the fired words and their LMF cuts gathered row by row in
     Python lists, then averaged by the same array product as the engine, so
@@ -191,7 +219,7 @@ def jaccard_pairwise(a: SampledWord, b: SampledWord) -> float:
 def decode(fou: IT2Word, cb, d=None) -> str:
     """The decode a solve runs, for one FOU: its sample scored against ``cb.sampled(d)``."""
     scb = cb.sampled(d)
-    return _decode_jaccard(sample_word(fou, scb.d), scb)
+    return _best(scb.names, scb.scores(sample_word(fou, scb.d)).tolist())
 
 
 def decode_oracle(s, cb, d):
@@ -285,6 +313,60 @@ def tsukamoto_oracle(rules, y):
         math.fsum(a * monotone_inverse_oracle(cons[k], a) for a, (_, cons) in zip(firings, rules)) / total
         for k in range(q)
     ]
+
+
+def format_codebook(cb: Codebook) -> str:
+    """``cb`` as a ``codebook v1`` file that ``parse_codebook`` reads back."""
+    lines = ["codebook v1", f"scale = {cb.scale.lo:g} {cb.scale.hi:g}"]
+    for w in cb.words:
+        lines.append("")
+        lines.append(f"word {w.name}")
+        # float() first: the repr of a numpy scalar is not a number the parser reads
+        lines.append("umf = " + " ".join(repr(float(v)) for v in w.umf.vertices))
+        lines.append("lmf = " + " ".join(repr(float(v)) for v in (*w.lmf.vertices, w.lmf.h)))
+        if w.centroid is not None:
+            c = w.centroid
+            lines.append("centroid = " + " ".join(repr(float(v)) for v in (c.cl, c.cr, c.mean)))
+    return "\n".join(lines) + "\n"
+
+
+
+def _format_slots(slots: tuple[int, ...]) -> str:
+    """A slot tuple as a slot spec: a range where the slots run one by one."""
+    if list(slots) == list(range(slots[0], slots[-1] + 1)):
+        return f"{slots[0]}-{slots[-1]}" if len(slots) > 1 else str(slots[0])
+    return ",".join(str(s) for s in slots)
+
+
+def format_problem(bundle: ProblemBundle) -> str:
+    """``bundle`` as a ``problem v1`` file that ``parse_problem`` reads back."""
+    lines = [
+        "problem v1",
+        f"name = {bundle.name}",
+        f"codebook = {bundle.codebook_id}",
+        "terms = " + " ".join(bundle.terms),
+    ]
+    for o in bundle.objectives:
+        if o.slots:
+            lines.append(f"objective = {o.name} {o.direction} slots {_format_slots(o.slots)}")
+        else:
+            lines.append(f"objective = {o.name} {o.direction}")
+    lines.append("ranking = " + " ".join(bundle.ranking))
+    seen = set()
+    for alt in bundle.alternatives:
+        for r in alt.rules:
+            if r.label in seen:
+                continue
+            seen.add(r.label)
+            lines.append(
+                f"rule {r.label} | " + " ".join(r.antecedents) + " | " + " ".join(r.consequents)
+            )
+    for alt in bundle.alternatives:
+        parts = [alt.label, "rules = " + " ".join(r.label for r in alt.rules)]
+        if alt.input is not None:
+            parts.append("input = " + " ".join(alt.input))
+        lines.append("alternative " + " | ".join(parts))
+    return "\n".join(lines) + "\n"
 
 
 def assert_report_matches(expected: str, actual: str, num_tol: float = 0.05):

@@ -7,10 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import assert_report_matches
+from conftest import assert_report_matches, format_codebook, format_problem
 from lingopt.cli import MAX_GRID, MAX_SAMPLE_N, main
-from lingopt.codebook import format_codebook, load_codebook
-from lingopt.problems import case_solop, format_problem
+from lingopt.codebook import load_codebook
+from lingopt.problems import case_solop
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -580,6 +580,31 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "sample", "--spec", "paper-endpoints", "--out", str(tmp_path))
         assert code == 3
         self.assert_one_line(err, "data")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "pr", "--problem", "{path}"],
+            ["solve", "pr", "--problem", "case-solop", "--codebook", "{path}"],
+            ["sample", "--spec", "{path}", "--out", "-"],
+            ["export-fou", "--codebook", "{path}", "--out", "-"],
+        ],
+        ids=["problem", "codebook", "spec", "export-fou-codebook"],
+    )
+    def test_data_error_file_not_utf8(self, capsys, tmp_path, argv):
+        path = tmp_path / "bin.txt"
+        path.write_bytes(b"problem v1\n\xff\xfe bad\n")
+        code, out, err = run_cli(capsys, *(a.format(path=path) for a in argv))
+        assert code == 3
+        assert out == ""
+        self.assert_one_line(err, "data")
+        assert str(path) in err
+
+    def test_usage_error_export_fou_without_a_source(self, capsys):
+        code, out, err = run_cli(capsys, "export-fou", "--out", "-")
+        assert code == 2
+        assert out == ""
+        self.assert_one_line(err, "usage")
 
     @pytest.mark.parametrize("step", ["0", "-0.1", "nan", "1e-9", "inf"])
     def test_usage_error_tsukamoto_step(self, capsys, step):

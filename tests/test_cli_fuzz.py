@@ -17,8 +17,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lingopt.cli import MAX_GRID, MAX_SAMPLE_N, main
-from lingopt.codebook import format_codebook, load_codebook
-from lingopt.problems import case_molop, case_solop, format_problem
+from lingopt.codebook import load_codebook
+from lingopt.problems import case_molop, case_solop
+
+from conftest import format_codebook, format_problem
 
 ENDPOINTS = """endpoints v1
 scale = 0 10

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import jaccard_pairwise
+from conftest import format_codebook, jaccard_pairwise
 
 from lingopt import codebook
 from lingopt.codebook import (
@@ -16,7 +16,6 @@ from lingopt.codebook import (
     EndpointSpec,
     EndpointSpecError,
     FIXTURE_IDS,
-    format_codebook,
     format_data_intervals,
     load_codebook,
     parse_codebook,

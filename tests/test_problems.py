@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import format_problem
 from lingopt import problems
 from lingopt.problems import (
     Alternative,
@@ -11,7 +12,6 @@ from lingopt.problems import (
     ProblemError,
     case_molop,
     case_solop,
-    format_problem,
     load_problem,
     parse_problem,
     sm_toy,

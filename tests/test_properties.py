@@ -18,6 +18,9 @@ from conftest import (
     classify_fou,
     decode,
     decode_oracle,
+    exact_jaccard,
+    format_codebook,
+    format_problem,
     jaccard_oracle,
     lwa_oracle,
     random_trapezoid,
@@ -26,9 +29,9 @@ from conftest import (
     translate,
     tsukamoto_oracle,
 )
-from lingopt.codebook import Codebook, CodebookError, format_codebook, load_codebook, parse_codebook
+from lingopt.codebook import Codebook, CodebookError, load_codebook, parse_codebook
 from lingopt.fuzzy import DomainError, Interval, IT2Word, LingoptError, Trapezoid
-from lingopt.problems import Alternative, ProblemBundle, format_problem, parse_problem
+from lingopt.problems import Alternative, ProblemBundle, parse_problem
 from lingopt.reasoning import (
     AUTO,
     AUTO_WORD,
@@ -254,6 +257,40 @@ class TestDenseDecode:
             np.testing.assert_allclose(scb.scores(s), scores, rtol=0.0, atol=1e-12)
 
 
+FIXTURE_PAIRS = [(a, b) for cb in map(load_codebook, ("paper-hma", "paper-ia")) for a in cb.words for b in cb.words]
+
+
+def with_fixture_pairs(test):
+    """``test`` with every fixture word pair at every grid size as an explicit example."""
+    for a, b in FIXTURE_PAIRS:
+        for points in (101, 1001, 10001):
+            test = example(a, b, points)(test)
+    return test
+
+
+class TestExactJaccard:
+    def test_oracle_on_a_hand_computed_pair(self):
+        # two unit triangles cross at (1.5, 0.5): min has area 1/4 and max 7/4
+        # under each curve, UMF and LMF alike
+        left = IT2Word("L", Trapezoid(0.0, 1.0, 1.0, 2.0), Trapezoid(0.0, 1.0, 1.0, 2.0))
+        right = IT2Word("R", Trapezoid(1.0, 2.0, 2.0, 3.0), Trapezoid(1.0, 2.0, 2.0, 3.0))
+        assert exact_jaccard(left, right) == pytest.approx(1 / 7, abs=1e-15)
+        assert exact_jaccard(left, left) == 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @with_fixture_pairs
+    @given(
+        st.integers(0, 2**32 - 1).map(lambda seed: random_word(np.random.default_rng(seed))),
+        st.integers(0, 2**32 - 1).map(lambda seed: random_word(np.random.default_rng(seed))),
+        st.sampled_from([101, 1001, 10001]),
+    )
+    def test_grid_jaccard_is_within_two_spacings_of_exact(self, a, b, points):
+        # the grid error is first order: vertical shoulder edges make each sum
+        # a one-sided Riemann sum near the edge
+        d = Discretization(points, Interval(0.0, 10.0))
+        assert abs(jaccard(a, b, d) - exact_jaccard(a, b)) <= 2 / points
+
+
 @st.composite
 def spread_codebooks(draw) -> Codebook:
     """2-6 words, each drawn inside a window of its own, so that some word
@@ -263,7 +300,7 @@ def spread_codebooks(draw) -> Codebook:
         width = draw(st.floats(0.5, 10.0))
         lo = draw(st.floats(0.0, 10.0 - width))
         w = replace(random_word(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), lo, lo + width), name=f"W{i}")
-        words.append(w.with_centroid(centroid_ekm(w, Discretization())))
+        words.append(replace(w, centroid=centroid_ekm(w, Discretization())))
     return Codebook(Interval(0.0, 10.0), tuple(words))
 
 
@@ -360,7 +397,7 @@ class TestCompiledSolve:
     def test_no_rule_fired_matches_oracle(self):
         low, high = (IT2Word(name, Trapezoid(*v), Trapezoid(*v, h=0.5)) for name, v in
                      (("L", (0.0, 1.0, 1.5, 2.0)), ("R", (8.0, 8.5, 9.0, 10.0))))
-        cb = Codebook(Interval(0.0, 10.0), tuple(w.with_centroid(centroid_ekm(w, Discretization())) for w in (low, high)))
+        cb = Codebook(Interval(0.0, 10.0), tuple(replace(w, centroid=centroid_ekm(w, Discretization())) for w in (low, high)))
         rb = RuleBase((Rule("r1", ("L", "L"), ("R",)), Rule("r2", ("L", "R"), (AUTO,))), (Objective("o"),))
         for solve in (lambda: solve_molop(rb, ("R", "L"), cb, self.D),
                       lambda: solve_oracle(rb.rules, rb.objectives, ("R", "L"), cb, self.D)):
@@ -634,7 +671,7 @@ def loaded_codebooks(draw) -> Codebook:
     for name in names:
         w = replace(random_word(rng, scale.lo, scale.hi), name=name)
         try:
-            words.append(w.with_centroid(centroid_ekm(w, d)))
+            words.append(replace(w, centroid=centroid_ekm(w, d)))
         except DegenerateWordError:
             assume(False)
     words.sort(key=lambda w: w.centroid.mean)

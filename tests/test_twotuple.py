@@ -140,16 +140,15 @@ class TestOverflow:
         four = OrdinalTermSet(("VP", "P", "A", "G"))
         report = overflow_check(TwoTuple(3, 0.33), four)
         assert report.protrudes
-        assert report.protrusion_right == pytest.approx(0.33)
+        assert report.protrusion == pytest.approx(0.33)
 
     def test_top_term_protrusion_equals_translation(self):
         report = overflow_check(TwoTuple(5, 0.4), FIVE)
-        assert report.protrusion_right == pytest.approx(0.4)
-        assert report.protrusion_left == 0.0
+        assert report.protrusion == pytest.approx(0.4)
 
     def test_bottom_term_negative_translation(self):
         report = overflow_check(TwoTuple(1, -0.25), FIVE)
-        assert report.protrusion_left == pytest.approx(0.25)
+        assert report.protrusion == pytest.approx(0.25)
 
 
 class TestTermSet:
