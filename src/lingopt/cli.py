@@ -124,20 +124,17 @@ def _solve_two_tuple(bundle: ProblemBundle, args) -> str:
     protruding = []
     for alt in bundle.alternatives:
         for obj, t in zip(bundle.objectives, result.outputs[alt.label]):
-            lines.append(
-                row(alt.label, obj.name, result.term_set.label(t.index), _fmt(t.alpha), _fmt(t.beta))
-            )
-            report = overflow_check(t, result.term_set)
-            if report.protrudes:
-                protruding.append((alt.label, obj.name, t, report))
+            term = result.term_set.label(t.index)
+            lines.append(row(alt.label, obj.name, term, _fmt(t.alpha), _fmt(t.beta)))
+            protrusion = overflow_check(t, result.term_set)
+            if protrusion > 0.0:
+                protruding.append(
+                    f"overflow: {alt.label}/{obj.name} ({term}, {t.alpha:.2f}) "
+                    f"protrudes {protrusion:.2f} term spacings past the scale"
+                )
     lines += ["", "ranking = " + " > ".join(result.ranking)]
     if protruding:
-        lines.append("")
-        for label, obj, t, report in protruding:
-            lines.append(
-                f"overflow: {label}/{obj} ({report.term}, {t.alpha:.2f}) "
-                f"protrudes {report.protrusion:.2f} term spacings past the scale"
-            )
+        lines += ["", *protruding]
         if args.strict_scale:
             raise OutOfScaleError(
                 f"{len(protruding)} output(s) protrude past the term scale (strict mode)"

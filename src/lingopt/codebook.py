@@ -355,14 +355,15 @@ def load_codebook(source: Union[str, Path]) -> Codebook:
 def load_source(source: Union[str, Path], fixtures: Mapping[str, Callable[[], _T]],
                 parse: Callable[[str], _T], kind: str, error: type[LingoptError]) -> _T:
     """The fixture ``source`` names, built by its entry in ``fixtures``, or
-    ``parse`` of the UTF-8 text of the file it names; otherwise ``error``."""
+    ``parse`` of the UTF-8 text of the file it names, less a leading
+    byte-order mark; otherwise ``error``."""
     if source in fixtures:
         return fixtures[source]()
     path = Path(source)
     if not path.exists():
         raise error(f"no such {kind} fixture or file: {source!r}")
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as e:
         raise error(f"{kind} file {source!r} is not UTF-8 text: byte {e.start} cannot be decoded") from None
     return parse(text)

@@ -153,37 +153,28 @@ def _prepare_samples(xs: np.ndarray, lower: np.ndarray, upper: np.ndarray):
 
 
 def _ekm_endpoint(xs: np.ndarray, lower: np.ndarray, upper: np.ndarray, right: bool) -> float:
-    """One enhanced Karnik-Mendel iteration (left or right endpoint), kept
-    within [xs[0], xs[-1]]."""
+    """One enhanced Karnik-Mendel iteration.  The left end weights the points
+    below the switch by ``upper`` and those above by ``lower``; the right end
+    swaps the two."""
     n = xs.size
     k = int(round(n / (1.7 if right else 2.4)))
     k = min(max(k, 1), n - 1)
-    if right:
-        a = float(np.dot(xs[:k], lower[:k]) + np.dot(xs[k:], upper[k:]))
-        b = float(lower[:k].sum() + upper[k:].sum())
-    else:
-        a = float(np.dot(xs[:k], upper[:k]) + np.dot(xs[k:], lower[k:]))
-        b = float(upper[:k].sum() + lower[k:].sum())
+    below, above = (lower, upper) if right else (upper, lower)
+    a = float(np.dot(xs[:k], below[:k]) + np.dot(xs[k:], above[k:]))
+    b = float(below[:k].sum() + above[k:].sum())
     y = a / b
     for _ in range(n):
         k_new = int(np.searchsorted(xs, y, side="right"))
         k_new = min(max(k_new, 1), n - 1)
         if k_new == k:
             break
-        sgn = 1.0 if k_new > k else -1.0
+        sgn = (1.0 if k_new > k else -1.0) * (-1.0 if right else 1.0)
         s = slice(min(k, k_new), max(k, k_new))
-        delta_x = float(np.dot(xs[s], upper[s] - lower[s]))
-        delta_w = float((upper[s] - lower[s]).sum())
-        if right:
-            a -= sgn * delta_x
-            b -= sgn * delta_w
-        else:
-            a += sgn * delta_x
-            b += sgn * delta_w
+        a += sgn * float(np.dot(xs[s], upper[s] - lower[s]))
+        b += sgn * float((upper[s] - lower[s]).sum())
         y = a / b
         k = k_new
-    # the running sums can drift past the samples by rounding
-    return min(max(y, float(xs[0])), float(xs[-1]))
+    return y
 
 
 def centroid_ekm_from_samples(xs: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> Centroid:
@@ -196,9 +187,12 @@ def centroid_ekm_from_samples(xs: np.ndarray, lower: np.ndarray, upper: np.ndarr
     if (np.abs(lo - hi) <= 1e-5 * hi).all():
         # type-1 degeneracy: both endpoints collapse to sum(x*u)/sum(u)
         c = float(np.dot(xs, hi) / hi.sum())
-        return Centroid(c, c)
-    cl = _ekm_endpoint(xs, lo, hi, right=False)
-    cr = _ekm_endpoint(xs, lo, hi, right=True)
+        ends = (c, c)
+    else:
+        ends = (_ekm_endpoint(xs, lo, hi, right=False), _ekm_endpoint(xs, lo, hi, right=True))
+    # rounding can carry a weighted average past the samples
+    first, last = float(xs[0]), float(xs[-1])
+    cl, cr = (min(max(y, first), last) for y in ends)
     return Centroid(cl, cr)
 
 

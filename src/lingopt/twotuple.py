@@ -118,26 +118,17 @@ def molop_solve(
 # Scale-overflow diagnosis for translated term MFs
 
 
-@dataclass(frozen=True)
-class OverflowReport:
-    term: str
-    protrusion: float  # index units past the nearer scale end, 0 inside the scale
-
-    @property
-    def protrudes(self) -> bool:
-        return self.protrusion > 0.0
-
-
-def overflow_check(t: TwoTuple, ts: OrdinalTermSet) -> OverflowReport:
-    """How far the translated triangle for (s_i, alpha) pokes past the scale.
+def overflow_check(t: TwoTuple, ts: OrdinalTermSet) -> float:
+    """How far, in index units, the translated triangle for (s_i, alpha) pokes
+    past the nearer scale end; 0 inside the scale.
 
     Terms sit at positions 1..g (unit spacing) with symmetric triangular MFs
     of half-width one spacing, clipped to the scale [1, g]; end terms
     therefore have vertical outer edges.  Translating by alpha shifts the
     clipped shape whole, so any positive alpha on a term whose triangle
-    already touches the top protrudes by alpha * spacing.
+    already touches the top pokes past it by alpha * spacing.
     """
     lo, hi = 1.0, float(ts.g)
     left = max(t.index - 1.0, lo) + t.alpha
     right = min(t.index + 1.0, hi) + t.alpha
-    return OverflowReport(term=ts.label(t.index), protrusion=max(0.0, lo - left, right - hi))
+    return max(0.0, lo - left, right - hi)

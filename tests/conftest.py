@@ -162,6 +162,53 @@ def exact_jaccard(a, b) -> float:
     return math.fsum(lo) / math.fsum(hi)
 
 
+def _moments(t: Trapezoid, lo: float, hi: float) -> tuple[float, float]:
+    """The integrals of mu and of x * mu over [lo, hi] for trapezoid ``t``,
+    exactly: on each of its three pieces mu is linear, so both integrands
+    are at most quadratic and the closed forms below hold.  A vertical edge
+    is a piece of zero width and adds nothing."""
+    m0, m1 = 0.0, 0.0
+    for (x0, y0), (x1, y1) in (((t.a, 0.0), (t.b, t.h)), ((t.b, t.h), (t.c, t.h)), ((t.c, t.h), (t.d, 0.0))):
+        p, q = max(x0, lo), min(x1, hi)
+        if q <= p:
+            continue
+        yp = y0 + (y1 - y0) * (p - x0) / (x1 - x0)
+        yq = y0 + (y1 - y0) * (q - x0) / (x1 - x0)
+        m0 += (q - p) * (yp + yq) / 2.0
+        m1 += (q - p) * (yp * (2.0 * p + q) + yq * (p + 2.0 * q)) / 6.0
+    return m0, m1
+
+
+def exact_centroid(w: IT2Word) -> Centroid:
+    """Centroid oracle without a grid: continuous Karnik-Mendel.  The left
+    end is the root of the decreasing function of the switch point s
+
+        km(s) = int_{x<s} (x - s) UMF + int_{x>s} (x - s) LMF,
+
+    and the right end the root of the same function with UMF and LMF
+    swapped.  Each is found by bisection on the UMF support, from moments
+    that ``_moments`` integrates exactly from the vertices and heights."""
+    lo, hi = w.umf.a, w.umf.d
+
+    def km(s: float, below: Trapezoid, above: Trapezoid) -> float:
+        b0, b1 = _moments(below, lo, s)
+        a0, a1 = _moments(above, s, hi)
+        return (b1 - s * b0) + (a1 - s * a0)
+
+    def root(below: Trapezoid, above: Trapezoid) -> float:
+        left, right = lo, hi
+        while True:
+            mid = 0.5 * (left + right)
+            if not left < mid < right:
+                return mid
+            if km(mid, below, above) > 0.0:
+                left = mid
+            else:
+                right = mid
+
+    return Centroid(root(w.umf, w.lmf), root(w.lmf, w.umf))
+
+
 def lwa_oracle(words, firings) -> IT2Word:
     """LWA oracle: the fired words and their LMF cuts gathered row by row in
     Python lists, then averaged by the same array product as the engine, so

@@ -206,6 +206,35 @@ alternative strong | rules = b | input = HI HI
         assert code == 0
         assert "ranking = strong > weak" in out
 
+    @pytest.mark.parametrize(
+        "text,argv",
+        [
+            (format_problem(case_solop()), ["solve", "pr", "--problem", "{path}"]),
+            (format_codebook(load_codebook("paper-hma")),
+             ["solve", "pr", "--problem", "case-solop", "--codebook", "{path}"]),
+            ("endpoints v1\nscale = 0 10\nword VP\nleft = 0 0\nright = 2 3\n",
+             ["sample", "--spec", "{path}", "--n", "5", "--seed", "7", "--out", "-"]),
+        ],
+        ids=["problem", "codebook", "spec"],
+    )
+    def test_byte_order_mark_is_skipped(self, capsys, tmp_path, text, argv):
+        # one path for both runs: a report may print the file's path
+        path, outs = tmp_path / "in.txt", []
+        for bom in (b"", b"\xef\xbb\xbf"):
+            path.write_bytes(bom + text.encode())
+            code, out, err = run_cli(capsys, *(a.format(path=path) for a in argv))
+            assert (code, err) == (0, "")
+            outs.append(out)
+        assert outs[0] == outs[1]
+
+    def test_undecodable_byte_is_counted_from_the_file_start(self, capsys, tmp_path):
+        # the byte-order mark's three bytes count toward the offset in the message
+        path = tmp_path / "bom.txt"
+        path.write_bytes(b"\xef\xbb\xbfproblem v1\n\xff\n")
+        code, _, err = run_cli(capsys, "solve", "pr", "--problem", str(path))
+        assert code == 3
+        assert "byte 14 cannot be decoded" in err
+
     def test_centroid_ends_stay_on_the_scale(self, capsys, tmp_path):
         # each word's lower membership is one spike at a scale end, so the
         # centroid ends sit on the ends of the samples, where EKM's running

@@ -2,6 +2,7 @@
 behaviour, centroid oracle agreement, 2-tuple round trips and text-format
 round trips."""
 
+import math
 import re
 from dataclasses import replace
 
@@ -18,6 +19,7 @@ from conftest import (
     classify_fou,
     decode,
     decode_oracle,
+    exact_centroid,
     exact_jaccard,
     format_codebook,
     format_problem,
@@ -29,7 +31,7 @@ from conftest import (
     translate,
     tsukamoto_oracle,
 )
-from lingopt.codebook import Codebook, CodebookError, load_codebook, parse_codebook
+from lingopt.codebook import CENTROID_CACHE_TOL, Codebook, CodebookError, load_codebook, parse_codebook
 from lingopt.fuzzy import DomainError, Interval, IT2Word, LingoptError, Trapezoid
 from lingopt.problems import Alternative, ProblemBundle, parse_problem
 from lingopt.reasoning import (
@@ -268,6 +270,17 @@ def with_fixture_pairs(test):
     return test
 
 
+FIXTURE_WORDS = [w for cb in map(load_codebook, ("paper-hma", "paper-ia")) for w in cb.words]
+
+
+def with_fixture_words(test):
+    """``test`` with every fixture word at every grid size as an explicit example."""
+    for w in FIXTURE_WORDS:
+        for points in (101, 1001, 10001):
+            test = example(w, points)(test)
+    return test
+
+
 class TestExactJaccard:
     def test_oracle_on_a_hand_computed_pair(self):
         # two unit triangles cross at (1.5, 0.5): min has area 1/4 and max 7/4
@@ -289,6 +302,21 @@ class TestExactJaccard:
         # a one-sided Riemann sum near the edge
         d = Discretization(points, Interval(0.0, 10.0))
         assert abs(jaccard(a, b, d) - exact_jaccard(a, b)) <= 2 / points
+
+    @settings(max_examples=200, deadline=None)
+    @given(oracle_words("a"), oracle_words("b"), st.sampled_from([101, 1001, 10001]))
+    def test_grid_jaccard_with_vertical_edges_is_near_exact(self, a, b, points):
+        # A vertical edge inside a grid cell, or flush against a scale end,
+        # moves a sum by up to a spacing times its height, so the error is
+        # first order over the denominator, which is at least either word's
+        # area.  Over 20000 pairs at N = 101 and 1001, error * N reached 7.7,
+        # for two narrow words against the top of the scale, but error * N *
+        # area was at most 28.4.  60 leaves a margin of 2.1, and is about the
+        # first-order ceiling for step words: six unit jumps across the four
+        # sums, each moving a sum by up to a spacing.
+        d = Discretization(points, Interval(0.0, 10.0))
+        area = max(sum(t.h * (t.d - t.a + t.c - t.b) / 2.0 for t in (w.umf, w.lmf)) for w in (a, b))
+        assert abs(jaccard(a, b, d) - exact_jaccard(a, b)) <= 60.0 / (points * area)
 
 
 @st.composite
@@ -434,6 +462,8 @@ class TestType1Decision:
             want = (c, c)
         else:
             want = (_ekm_endpoint(xs, lo, hi, right=False), _ekm_endpoint(xs, lo, hi, right=True))
+        # both ends are kept inside the samples
+        want = [min(max(y, float(xs[0])), float(xs[-1])) for y in want]
         got = centroid_ekm_from_samples(xs, lo, hi)
         assert (got.cl.hex(), got.cr.hex()) == (want[0].hex(), want[1].hex())
 
@@ -577,6 +607,25 @@ class TestLwaProperties:
             assert_alpha_cuts_are_weighted_averages(lwa(words, list(firings)), words, firings)
 
 
+@st.composite
+def centroid_samples(draw):
+    """A trapezoid's samples as the upper membership, with a lower membership
+    that is either zero but at one sample or equal to the upper one (type-1).
+    The spike puts the ends of the centroid on the ends of the support, where
+    rounding could push EKM's running sums past them; a type-1 weighted
+    average can round past them likewise."""
+    xs = np.linspace(0.0, 10.0, draw(st.sampled_from([11, 201, 1001])))
+    vertex = st.one_of(st.just(0.0), st.just(10.0), st.floats(0.0, 10.0))
+    upper = Trapezoid(*sorted(draw(st.lists(vertex, min_size=4, max_size=4)))).membership_grid(xs)
+    assume(upper.any())
+    if draw(st.booleans()):
+        return xs, upper.copy(), upper
+    lower = np.zeros_like(xs)
+    j = draw(st.integers(0, xs.size - 1))
+    lower[j] = upper[j] * draw(st.floats(0.0, 1.0))
+    return xs, lower, upper
+
+
 class TestCentroidOracle:
     def test_ekm_equals_brute_enumeration(self):
         rng = np.random.default_rng(8)
@@ -596,19 +645,61 @@ class TestCentroidOracle:
                 assert b.cl <= b.mean <= b.cr
                 assert w.umf.a - 1e-9 <= b.cl and b.cr <= w.umf.d + 1e-9
 
+    def test_exact_centroid_on_hand_computed_words(self):
+        triangle = Trapezoid(0.0, 5.0, 5.0, 10.0)
+        c = exact_centroid(IT2Word("T", triangle, triangle))
+        assert (c.cl, c.cr) == pytest.approx((5.0, 5.0), abs=1e-12)
+        # for s in [2, 4] the left KM function is 5 - s - (s - 2)^2 / 2, whose
+        # root is 1 + sqrt(7); the right end mirrors it about 5
+        box = IT2Word("B", Trapezoid(2.0, 2.0, 8.0, 8.0), Trapezoid(4.0, 4.0, 6.0, 6.0, 0.5))
+        c = exact_centroid(box)
+        assert (c.cl, c.cr) == pytest.approx((1.0 + math.sqrt(7.0), 9.0 - math.sqrt(7.0)), abs=1e-12)
+
+    def test_exact_centroid_matches_the_printed_fixture_centroids(self):
+        for w in FIXTURE_WORDS:
+            c = exact_centroid(w)
+            assert abs(c.cl - w.centroid.cl) <= CENTROID_CACHE_TOL
+            assert abs(c.cr - w.centroid.cr) <= CENTROID_CACHE_TOL
+
+    @settings(max_examples=300, deadline=None)
+    @with_fixture_words
+    @given(
+        st.one_of(
+            st.integers(0, 2**32 - 1).map(lambda seed: random_word(np.random.default_rng(seed))),
+            oracle_words("w"),
+        ),
+        st.sampled_from([101, 1001, 10001]),
+    )
+    def test_grid_centroid_is_near_exact(self, w, points):
+        # An end moves by the KM function's grid error over the function's
+        # slope.  The grid error is first order where a vertical edge sits
+        # inside a grid cell, about half a spacing times the support width,
+        # and the slope is at least the LMF's area.  Over 30000 draws of each
+        # kind at N = 101 and 1001, 4000 at N = 10001 and the fixture words,
+        # error * N * area / width was at most 5.04 (a rectangle with vertical
+        # edges).  10 leaves a margin of 2, and is about the first-order
+        # ceiling: an end moves by up to a spacing, and area / width is at
+        # most 1.  Without the area the error * N reached 100 at N = 101,
+        # where a narrow LMF is barely sampled.
+        d = Discretization(points, Interval(0.0, 10.0))
+        try:
+            got = centroid_ekm(w, d)
+        except DegenerateWordError:
+            assume(False)  # no grid point inside the support
+        want = exact_centroid(w)
+        area = w.lmf.h * (w.lmf.d - w.lmf.a + w.lmf.c - w.lmf.b) / 2.0
+        bound = 10.0 * (w.umf.d - w.umf.a) / (points * area)
+        assert abs(got.cl - want.cl) <= bound
+        assert abs(got.cr - want.cr) <= bound
+
     @settings(max_examples=100, deadline=None)
-    @given(st.data())
-    def test_ends_lie_within_the_samples(self, data):
-        # a lower membership that is zero but at one sample puts the ends of
-        # the centroid on the ends of the support, where rounding could push
-        # EKM's running sums past them
-        xs = np.linspace(0.0, 10.0, data.draw(st.sampled_from([11, 201, 1001])))
-        vertex = st.one_of(st.just(0.0), st.just(10.0), st.floats(0.0, 10.0))
-        upper = Trapezoid(*sorted(data.draw(st.lists(vertex, min_size=4, max_size=4)))).membership_grid(xs)
-        lower = np.zeros_like(xs)
-        j = data.draw(st.integers(0, xs.size - 1))
-        lower[j] = upper[j] * data.draw(st.floats(0.0, 1.0))
-        assume(upper.any())
+    # a type-1 sample whose weighted average rounded an ulp below xs[0]
+    @example((np.array([8.698469892040244, 8.733246935766894]),
+              np.array([0.7590302396364096, 5.491549930112848e-16]),
+              np.array([0.7590302396364096, 5.491549930112848e-16])))
+    @given(centroid_samples())
+    def test_ends_lie_within_the_samples(self, samples):
+        xs, lower, upper = samples
         c = centroid_ekm_from_samples(xs, lower, upper)
         kept = xs[upper > 0.0]
         assert kept[0] <= c.cl and c.cr <= kept[-1]

@@ -133,22 +133,19 @@ class TestCompare:
 
 class TestOverflow:
     def test_centered_middle_term_stays_inside(self):
-        report = overflow_check(TwoTuple(3, 0.0), FIVE)
-        assert not report.protrudes
+        assert overflow_check(TwoTuple(3, 0.0), FIVE) == 0.0
 
     def test_translated_term_at_top_adjacent_position(self):
         four = OrdinalTermSet(("VP", "P", "A", "G"))
-        report = overflow_check(TwoTuple(3, 0.33), four)
-        assert report.protrudes
-        assert report.protrusion == pytest.approx(0.33)
+        protrusion = overflow_check(TwoTuple(3, 0.33), four)
+        assert protrusion > 0.0
+        assert protrusion == pytest.approx(0.33)
 
     def test_top_term_protrusion_equals_translation(self):
-        report = overflow_check(TwoTuple(5, 0.4), FIVE)
-        assert report.protrusion == pytest.approx(0.4)
+        assert overflow_check(TwoTuple(5, 0.4), FIVE) == pytest.approx(0.4)
 
     def test_bottom_term_negative_translation(self):
-        report = overflow_check(TwoTuple(1, -0.25), FIVE)
-        assert report.protrusion == pytest.approx(0.25)
+        assert overflow_check(TwoTuple(1, -0.25), FIVE) == pytest.approx(0.25)
 
 
 class TestTermSet:
