@@ -2,6 +2,8 @@
 with 2-tuple and Tsukamoto baselines and the shared student-performance
 case-study fixtures."""
 
+from inspect import ismodule as _ismodule
+
 from .fuzzy import (
     DomainError,
     Interval,
@@ -66,4 +68,4 @@ from .problems import (
     solve_two_tuple_bundle,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(name for name, value in globals().items() if not name.startswith("_") and not _ismodule(value))

@@ -124,9 +124,9 @@ def _solve_two_tuple(bundle: ProblemBundle, args) -> str:
     protruding = []
     for alt in bundle.alternatives:
         for obj, t in zip(bundle.objectives, result.outputs[alt.label]):
-            term = result.term_set.label(t.index)
+            term = bundle.term_set.label(t.index)
             lines.append(row(alt.label, obj.name, term, _fmt(t.alpha), _fmt(t.beta)))
-            protrusion = overflow_check(t, result.term_set)
+            protrusion = overflow_check(t, bundle.term_set)
             if protrusion > 0.0:
                 protruding.append(
                     f"overflow: {alt.label}/{obj.name} ({term}, {t.alpha:.2f}) "

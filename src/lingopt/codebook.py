@@ -50,7 +50,7 @@ import numpy as np
 
 from .fuzzy import DomainError, Interval, IT2Word, LingoptError, Trapezoid, vertex_rows
 from .similarity import (DEFAULT_POINTS, Centroid, DegenerateWordError, Discretization, SampledWord,
-                         centroid_sampled, jaccard_rows, sample_word)
+                         centroid_ekm_from_samples, jaccard_rows, sample_word)
 
 GENERATOR_NAME = "pcg64"  # numpy default_rng
 CENTROID_CACHE_TOL = 0.05  # fixture centroids are printed to 2 decimals
@@ -317,7 +317,7 @@ def _finish_load(cb: Codebook) -> Codebook:
     out = []
     for w, s in zip(cb.words, scb.words):
         try:
-            computed = centroid_sampled(s)
+            computed = centroid_ekm_from_samples(s.xs, s.lower, s.upper)
         except DegenerateWordError:
             raise CodebookError(
                 f"word {w.name!r} has no mass on the {scb.d.points}-point grid over "

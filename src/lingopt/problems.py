@@ -27,9 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
-from .codebook import Codebook, add_field, file_lines, load_source
+from .codebook import Codebook, CodebookError, add_field, file_lines, load_source
 from .fuzzy import DomainError, LingoptError
 from .reasoning import (
     AUTO,
@@ -73,12 +73,15 @@ class ProblemBundle:
     ranking: tuple[str, ...]  # objective names in tie-break priority order
     terms: tuple[str, ...]
     codebook_id: str = "paper-hma"
-    # each alternative's rules under the objectives, validated on construction
+    # the terms' scale and each alternative's rules under the objectives, validated on construction
+    term_set: OrdinalTermSet = field(init=False, repr=False, compare=False)
     rule_bases: tuple[RuleBase, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.terms or len(set(self.terms)) != len(self.terms):
-            raise ProblemError(f"terms must be nonempty and distinct, got {list(self.terms)}")
+        try:
+            object.__setattr__(self, "term_set", OrdinalTermSet(self.terms))
+        except DomainError as e:
+            raise ProblemError(f"terms: {e}") from None
         names = [o.name for o in self.objectives]
         if len(set(names)) != len(names):
             raise ProblemError(f"duplicate objective names: {names}")
@@ -114,46 +117,42 @@ class ProblemBundle:
 # Solving a bundle with each engine
 
 
-def _rank(bundle: ProblemBundle, scores: dict[str, list[float]]) -> list[str]:
-    """Rank alternatives on every ranking objective in priority order, each
-    in its own direction."""
+@dataclass(frozen=True, eq=False)
+class BundleResult:
+    outputs: dict[str, list[Union[PrOutput, TwoTuple]]]  # label -> one output per objective
+    ranking: list[str]
+
+
+def _ranked(bundle: ProblemBundle, outputs: dict[str, list], score: Callable[[object], float]) -> BundleResult:
+    """Rank the alternatives by the scores of their outputs on every ranking
+    objective in priority order, each in its own direction."""
     names = [o.name for o in bundle.objectives]
     ks = [names.index(r) for r in bundle.ranking]
-    items = [(alt.label, [scores[alt.label][k] for k in ks]) for alt in bundle.alternatives]
-    return rank_by_centroid(items, [bundle.objectives[k].direction for k in ks])
-
-
-@dataclass(frozen=True, eq=False)
-class PrBundleResult:
-    outputs: dict[str, list[PrOutput]]  # label -> one PrOutput per objective
-    ranking: list[str]
+    items = [(label, [score(outs[k]) for k in ks]) for label, outs in outputs.items()]
+    return BundleResult(outputs, rank_by_centroid(items, [bundle.objectives[k].direction for k in ks]))
 
 
 def solve_pr_bundle(
     bundle: ProblemBundle,
     cb: Codebook,
     d: Optional[Discretization] = None,
-) -> PrBundleResult:
+) -> BundleResult:
+    """Perceptual reasoning ranked by centroid mean; an unknown word is a ProblemError naming its alternative."""
     outputs: dict[str, list[PrOutput]] = {}
     for alt, rb in zip(bundle.alternatives, bundle.rule_bases):
         if alt.input is None:
             raise EngineMismatchError(
                 f"alternative {alt.label!r} has no input vector to fire the rules with"
             )
-        outputs[alt.label] = solve_molop(rb, alt.input, cb, d)
-    means = {label: [o.centroid.mean for o in outs] for label, outs in outputs.items()}
-    return PrBundleResult(outputs, _rank(bundle, means))
+        try:
+            outputs[alt.label] = solve_molop(rb, alt.input, cb, d)
+        except CodebookError as e:
+            raise ProblemError(f"alternative {alt.label!r}: {e}") from None
+    return _ranked(bundle, outputs, lambda o: o.centroid.mean)
 
 
-@dataclass(frozen=True, eq=False)
-class TwoTupleBundleResult:
-    outputs: dict[str, list[TwoTuple]]  # label -> one tuple per objective
-    ranking: list[str]
-    term_set: OrdinalTermSet
-
-
-def solve_two_tuple_bundle(bundle: ProblemBundle) -> TwoTupleBundleResult:
-    """2-tuple baseline over the same bundle.
+def solve_two_tuple_bundle(bundle: ProblemBundle) -> BundleResult:
+    """2-tuple baseline over the same bundle, ranked by beta.
 
     Single objective: the alternative's input indices are averaged.  Multiple
     objectives: rule firings are products of antecedent indices and the
@@ -161,37 +160,30 @@ def solve_two_tuple_bundle(bundle: ProblemBundle) -> TwoTupleBundleResult:
     used here because the baseline has no word models to synthesise from.
     A word that is not a term is a ProblemError naming its alternative.
     """
-    ts = OrdinalTermSet(bundle.terms)
+    ts = bundle.term_set
     outputs: dict[str, list[TwoTuple]] = {}
     single = len(bundle.objectives) == 1
     for alt in bundle.alternatives:
-
-        def index(word: str) -> int:
-            try:
-                return ts.index(word)
-            except DomainError as e:
-                raise ProblemError(f"alternative {alt.label!r}: {e}") from None
-
-        if single:
-            if alt.input is None:
-                raise EngineMismatchError(f"alternative {alt.label!r} has no input vector")
-            obj = bundle.objectives[0]
-            slots = obj.slots or tuple(range(1, len(alt.input) + 1))
-            indices = [index(alt.input[i - 1]) for i in slots]
-            outputs[alt.label] = [solop_aggregate(indices, ts)]
-        else:
-            rules = []
-            for rule in alt.rules:
-                for entry in rule.consequents:
-                    if entry in (AUTO, AUTO_WORD):
+        if single and alt.input is None:
+            raise EngineMismatchError(f"alternative {alt.label!r} has no input vector")
+        try:
+            if single:
+                slots = bundle.objectives[0].slots or range(1, len(alt.input) + 1)
+                indices = [ts.index(alt.input[i - 1]) for i in slots]
+            else:
+                rules = []
+                for rule in alt.rules:
+                    if AUTO in rule.consequents or AUTO_WORD in rule.consequents:
                         raise EngineMismatchError(
                             f"rule {rule.label!r}: the 2-tuple engine needs explicit "
                             "consequent words, not auto synthesis"
                         )
-                rules.append(([index(a) for a in rule.antecedents], [index(c) for c in rule.consequents]))
-            outputs[alt.label] = molop_solve(rules, ts)
-    betas = {label: [t.beta for t in outs] for label, outs in outputs.items()}
-    return TwoTupleBundleResult(outputs, _rank(bundle, betas), ts)
+                    rules.append(([ts.index(a) for a in rule.antecedents],
+                                  [ts.index(c) for c in rule.consequents]))
+        except DomainError as e:
+            raise ProblemError(f"alternative {alt.label!r}: {e}") from None
+        outputs[alt.label] = [solop_aggregate(indices, ts)] if single else molop_solve(rules, ts)
+    return _ranked(bundle, outputs, lambda t: t.beta)
 
 
 # ---------------------------------------------------------------------------

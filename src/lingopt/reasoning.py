@@ -40,7 +40,7 @@ import numpy as np
 
 from .codebook import Codebook, SampledCodebook
 from .fuzzy import DomainError, IT2Word, NoRuleFiredError, Trapezoid, check_direction, vertex_rows
-from .similarity import Centroid, Discretization, centroid_sampled, sample_word
+from .similarity import Centroid, Discretization, centroid_ekm_from_samples, sample_word
 
 AUTO = "auto"  # consequent synthesised from antecedents, kept as a raw FOU
 AUTO_WORD = "auto-word"  # synthesised, then decoded to the nearest codebook word
@@ -239,7 +239,8 @@ def synthesize_consequent(
         raise DomainError("synthesize_consequent needs at least one antecedent")
     scb = cb.sampled(d)
     fou = lwa(ConsequentRows(*scb.rows, scb.positions(antecedents)), np.ones(len(antecedents)))
-    centroid = centroid_sampled(sample_word(fou, scb.d))
+    s = sample_word(fou, scb.d)
+    centroid = centroid_ekm_from_samples(s.xs, s.lower, s.upper)
     return SynthesizedConsequent(fou, centroid, _decode_mean(centroid.mean, cb))
 
 
@@ -290,7 +291,7 @@ class PrOutput:
 
 def _finish(fou: IT2Word, firings: tuple[float, ...], scb: SampledCodebook) -> PrOutput:
     s = sample_word(fou, scb.d)
-    centroid = centroid_sampled(s)
+    centroid = centroid_ekm_from_samples(s.xs, s.lower, s.upper)
     return PrOutput(fou=fou, centroid=centroid, decoded=_best(scb.names, scb.scores(s).tolist()),
                     firings=firings)
 

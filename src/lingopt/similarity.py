@@ -12,7 +12,7 @@ is the only way a word is put on a grid: on the points of its support, where
 its memberships can be nonzero.  ``jaccard_rows``, the one Jaccard kernel,
 scores such a sample against dense (V, N) rows over its support; firing,
 decoding and ``jaccard`` all run it, so they agree to the last bit.
-``centroid_sampled`` reduces a sample to its centroid interval.
+``centroid_ekm_from_samples`` reduces a sample to its centroid interval.
 """
 
 from __future__ import annotations
@@ -178,6 +178,7 @@ def _ekm_endpoint(xs: np.ndarray, lower: np.ndarray, upper: np.ndarray, right: b
 
 
 def centroid_ekm_from_samples(xs: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> Centroid:
+    """Centroid interval of memberships sampled at increasing ``xs``, by enhanced Karnik-Mendel."""
     xs, lo, hi = _prepare_samples(xs, lower, upper)
     if xs.size == 1:
         # one point carries all the mass, so both ends of the centroid are it
@@ -196,14 +197,10 @@ def centroid_ekm_from_samples(xs: np.ndarray, lower: np.ndarray, upper: np.ndarr
     return Centroid(cl, cr)
 
 
-def centroid_sampled(s: SampledWord) -> Centroid:
-    """Centroid interval of a sampled word via the enhanced Karnik-Mendel iteration."""
-    return centroid_ekm_from_samples(s.xs, s.lower, s.upper)
-
-
 def centroid_ekm(w: IT2Word, d: Discretization) -> Centroid:
     """Centroid interval of the word on the grid ``d``."""
-    return centroid_sampled(sample_word(w, d))
+    s = sample_word(w, d)
+    return centroid_ekm_from_samples(s.xs, s.lower, s.upper)
 
 
 # ---------------------------------------------------------------------------

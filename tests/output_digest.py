@@ -1,4 +1,4 @@
-"""Print two sha256 digests of lingopt's outputs, to show that a change keeps
+"""Print three sha256 digests of lingopt's outputs, to show that a change keeps
 them bit for bit.
 
     python tests/output_digest.py
@@ -15,6 +15,12 @@ Run it on two checkouts and compare the lines.
   - both case problems on both fixture codebooks at grids 201, 1001 and
     10001, and the loaded codebook words' centroids.
 * ``cli``: the exit code, stdout and stderr of each of ``CLI_CALLS``.
+* ``two-tuple``: every 2-tuple's index and ``float.hex`` translation, and
+  the ranking, of ``solve_two_tuple_bundle`` on both case problems,
+  ``sm-toy`` and the ``pr-scale`` bundles of the seeds above; the error's
+  class and message for the ``synth-fine`` bundles, whose ``auto``
+  consequents that engine refuses.  It reads only ``outputs``, ``ranking``,
+  ``index`` and ``alpha``, so it runs against older checkouts too.
 
 Nothing is written to disk.
 """
@@ -22,6 +28,7 @@ Nothing is written to disk.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import io
 import sys
@@ -34,13 +41,16 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
 import synth  # noqa: E402
 from lingopt.cli import main  # noqa: E402
 from lingopt.codebook import load_codebook, parse_codebook  # noqa: E402
-from lingopt.problems import case_molop, case_solop, parse_problem, solve_pr_bundle  # noqa: E402
+from lingopt.fuzzy import LingoptError  # noqa: E402
+from lingopt.problems import (case_molop, case_solop, parse_problem, sm_toy, solve_pr_bundle,  # noqa: E402
+                              solve_two_tuple_bundle)
 
 SEEDS = (0, 1, 2, 3, 5, 77)
 # the benchmark's two synthetic shapes (benchmarks/workloads.py) and their grids
 PR_SCALE = (synth.Shape(25, 16, (100,), auto=False), None)
 SYNTH_FINE = (synth.Shape(25, 9, (2, 3, 4), auto=True), 10001)
 AUTO_REWRITES = ("auto-word auto-word", "auto-word auto", "auto auto-word")
+generate = functools.lru_cache(synth.generate)  # both digests read the same bundles
 
 CLI_CALLS = [
     *(["solve", "pr", "--problem", p, "--codebook", c, "--grid", g, "--format", f]
@@ -67,7 +77,7 @@ def _solver_lines():
     cases = []
     for seed in SEEDS:
         for (shape, points), label in ((PR_SCALE, "pr-scale"), (SYNTH_FINE, "synth-fine")):
-            cb_text, problem_text = synth.generate(shape, seed, label)
+            cb_text, problem_text = generate(shape, seed, label)
             cases.append((f"{label}/{seed}", cb_text, problem_text, [points]))
             if shape.auto:
                 for rewrite in AUTO_REWRITES:
@@ -97,6 +107,22 @@ def _bundle_lines(name, bundle, cb, points):
             yield f"{name} {label} {o.decoded} " + " ".join(float(v).hex() for v in t)
 
 
+def _two_tuple_lines():
+    bundles = [(b.name, b) for b in (case_solop(), case_molop(), sm_toy())]
+    for seed in SEEDS:
+        for (shape, _), label in ((PR_SCALE, "pr-scale"), (SYNTH_FINE, "synth-fine")):
+            bundles.append((f"{label}/{seed}", parse_problem(generate(shape, seed, label)[1])))
+    for name, bundle in bundles:
+        try:
+            result = solve_two_tuple_bundle(bundle)
+        except LingoptError as e:
+            yield f"{name} {type(e).__name__} {e}"
+            continue
+        yield f"{name} ranking {' '.join(result.ranking)}"
+        for label, outputs in result.outputs.items():
+            yield f"{name} {label} " + " ".join(f"{t.index} {float(t.alpha).hex()}" for t in outputs)
+
+
 def _cli_lines():
     for argv in CLI_CALLS:
         out, err = io.StringIO(), io.StringIO()
@@ -115,3 +141,4 @@ def digest(lines) -> str:
 if __name__ == "__main__":
     print(f"solver {digest(_solver_lines())}")
     print(f"cli    {digest(_cli_lines())}")
+    print(f"two-tuple {digest(_two_tuple_lines())}")

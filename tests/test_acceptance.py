@@ -184,7 +184,8 @@ def test_criterion_06_molop_ranking():
 
 def test_criterion_07_two_tuple_solop():
     failures = []
-    result = solve_two_tuple_bundle(case_solop())
+    bundle = case_solop()
+    result = solve_two_tuple_bundle(bundle)
     betas = {k: v[0].beta for k, v in result.outputs.items()}
     for student, beta in (("SS1", 2.2), ("SS2", 3.6), ("SS3", 3.4), ("SS4", 3.2)):
         if abs(betas[student] - beta) > 1e-9:
@@ -192,8 +193,8 @@ def test_criterion_07_two_tuple_solop():
     if result.ranking != ["SS2", "SS3", "SS4", "SS1"]:
         failures.append(f"ranking {result.ranking}")
     ss3 = result.outputs["SS3"][0]
-    if (result.term_set.label(ss3.index), round(ss3.alpha, 10)) != ("A", 0.4):
-        failures.append(f"SS3 emitted as ({result.term_set.label(ss3.index)}, {ss3.alpha})")
+    if (bundle.term_set.label(ss3.index), round(ss3.alpha, 10)) != ("A", 0.4):
+        failures.append(f"SS3 emitted as ({bundle.term_set.label(ss3.index)}, {ss3.alpha})")
     # the printed (G, -0.6) encodes the same beta but is not a valid 2-tuple
     try:
         TwoTuple(4, -0.6)
@@ -207,16 +208,17 @@ def test_criterion_07_two_tuple_solop():
 
 def test_criterion_08_two_tuple_molop():
     failures = []
-    result = solve_two_tuple_bundle(case_molop())
+    bundle = case_molop()
+    result = solve_two_tuple_bundle(bundle)
     core, elective = result.outputs["SS1"]
-    ts = result.term_set
+    ts = bundle.term_set
     if (ts.label(core.index), core.alpha) != ("P", 0.0):
         failures.append(f"SS1 core {(ts.label(core.index), core.alpha)} vs (P, 0)")
     if (ts.label(elective.index), elective.alpha) != ("A", 0.0):
         failures.append(f"SS1 elective {(ts.label(elective.index), elective.alpha)} vs (A, 0)")
 
-    toy = solve_two_tuple_bundle(sm_toy())
-    f1, f2 = toy.outputs["system"]
+    toy = sm_toy()
+    f1, f2 = solve_two_tuple_bundle(toy).outputs["system"]
     tts = toy.term_set
     if (tts.label(f1.index), round(f1.alpha, 2)) != ("B", -0.33):
         failures.append(f"toy f1 {(tts.label(f1.index), f1.alpha)} vs (B, -0.33)")

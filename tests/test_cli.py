@@ -484,6 +484,17 @@ class TestExitCodes:
         self.assert_one_line(err, "data")
         assert "alternative 'x'" in err and "'VG'" in err
 
+    @pytest.mark.parametrize("rule,inputs", [("A G | G", "A Q"), ("A Q | G", "A G")],
+                             ids=["input-word", "rule-word"])
+    def test_data_error_word_not_in_the_codebook(self, capsys, tmp_path, rule, inputs):
+        path = tmp_path / "problem.txt"
+        path.write_text("problem v1\nterms = VP P A G VG\nobjective = o max\n"
+                        f"rule r | {rule}\nalternative x | rules = r | input = {inputs}\n")
+        code, out, err = run_cli(capsys, "solve", "pr", "--problem", str(path))
+        assert (code, out) == (3, "")
+        self.assert_one_line(err, "data")
+        assert "alternative 'x'" in err and "'Q'" in err
+
     @pytest.mark.parametrize("terms", ["VP P P G VG", ""], ids=["repeated", "empty"])
     @pytest.mark.parametrize("engine", ["pr", "two-tuple"])
     def test_data_error_bad_terms(self, capsys, tmp_path, engine, terms):

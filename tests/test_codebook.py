@@ -25,7 +25,7 @@ from lingopt.codebook import (
 from lingopt.fuzzy import DomainError, Interval, IT2Word, Trapezoid
 from lingopt.problems import case_molop, solve_pr_bundle
 from lingopt.reasoning import Rule, fire_rules
-from lingopt.similarity import centroid_ekm, centroid_sampled, jaccard, sample_word
+from lingopt.similarity import centroid_ekm, centroid_ekm_from_samples, jaccard, sample_word
 
 # Printed FOU data for the two fixture codebooks: every vertex and height.
 HMA_EXPECTED = {
@@ -114,7 +114,7 @@ class TestSampledCodebook:
         scb = cb._sampled
         assert scb is not None and scb.d == cb.discretization()
         # the centroids filled in on load are those of the kept samples
-        assert [w.centroid for w in cb.words] == [centroid_sampled(s) for s in scb.words]
+        assert [w.centroid for w in cb.words] == [centroid_ekm_from_samples(s.xs, s.lower, s.upper) for s in scb.words]
         assert [w.centroid for w in cb.words] == [centroid_ekm(w, scb.d) for w in cb.words]
         monkeypatch.setattr(codebook, "sample_word", lambda *args: pytest.fail("word sampled again"))
         assert cb.sampled() is scb and cb.sampled(cb.discretization()) is scb

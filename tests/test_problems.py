@@ -1,6 +1,9 @@
+from inspect import ismodule
+
 import pytest
 
 from conftest import format_problem
+import lingopt
 from lingopt import problems
 from lingopt.problems import (
     Alternative,
@@ -118,9 +121,16 @@ class TestPrBundle:
 
 
 class TestTwoTupleBundle:
+    def test_solve_reuses_the_bundle_term_set(self, monkeypatch):
+        bundle = case_molop()
+        assert bundle.term_set.terms == bundle.terms
+        monkeypatch.setattr(problems, "OrdinalTermSet", lambda *args: pytest.fail("term set built again"))
+        assert solve_two_tuple_bundle(bundle).ranking == ["SS2", "SS4", "SS1", "SS3"]
+
     def test_solop_overall_performances(self):
-        result = solve_two_tuple_bundle(case_solop())
-        ts = result.term_set
+        bundle = case_solop()
+        result = solve_two_tuple_bundle(bundle)
+        ts = bundle.term_set
         rendered = {k: (ts.label(v[0].index), round(v[0].alpha, 2)) for k, v in result.outputs.items()}
         assert rendered == {
             "SS1": ("P", 0.2),
@@ -131,16 +141,16 @@ class TestTwoTupleBundle:
         assert result.ranking == ["SS2", "SS3", "SS4", "SS1"]
 
     def test_molop_first_student(self):
-        result = solve_two_tuple_bundle(case_molop())
-        core, elective = result.outputs["SS1"]
-        assert (result.term_set.label(core.index), core.alpha) == ("P", 0.0)
-        assert (result.term_set.label(elective.index), elective.alpha) == ("A", 0.0)
+        bundle = case_molop()
+        core, elective = solve_two_tuple_bundle(bundle).outputs["SS1"]
+        assert (bundle.term_set.label(core.index), core.alpha) == ("P", 0.0)
+        assert (bundle.term_set.label(elective.index), elective.alpha) == ("A", 0.0)
 
     def test_toy_system(self):
-        result = solve_two_tuple_bundle(sm_toy())
-        f1, f2 = result.outputs["system"]
-        assert (result.term_set.label(f1.index), round(f1.alpha, 2)) == ("B", -0.33)
-        assert (result.term_set.label(f2.index), round(f2.alpha, 2)) == ("S", 0.33)
+        bundle = sm_toy()
+        f1, f2 = solve_two_tuple_bundle(bundle).outputs["system"]
+        assert (bundle.term_set.label(f1.index), round(f1.alpha, 2)) == ("B", -0.33)
+        assert (bundle.term_set.label(f2.index), round(f2.alpha, 2)) == ("S", 0.33)
 
     def test_auto_consequents_rejected(self):
         bundle = ProblemBundle(
@@ -197,3 +207,8 @@ alternative a | rules = r | input = VP
 """
         with pytest.raises(ProblemError, match="duplicate"):
             parse_problem(text)
+
+
+def test_package_exports_no_modules():
+    # importing the names binds the submodules in the package too
+    assert lingopt.__all__ and not [name for name in lingopt.__all__ if ismodule(getattr(lingopt, name))]

@@ -237,7 +237,7 @@ class TestSolve:
         # an ``auto`` entry is averaged from codebook rows; an ``auto-word``
         # entry is sampled once for the centroid its decoded word comes from
         calls = {}
-        for name in ("sample_word", "centroid_sampled"):
+        for name in ("sample_word", "centroid_ekm_from_samples"):
             def counted(*args, _fn=getattr(reasoning, name), _name=name):
                 calls[_name] = calls.get(_name, 0) + 1
                 return _fn(*args)
@@ -248,7 +248,7 @@ class TestSolve:
             (Objective("f1"), Objective("f2", slots=(1, 3)), Objective("f3", slots=(2, 2))),
         )
         solve_molop(rb, ("A", "G", "P"), hma)
-        assert calls == {"sample_word": 3 + extra, "centroid_sampled": 3 + extra}
+        assert calls == {"sample_word": 3 + extra, "centroid_ekm_from_samples": 3 + extra}
 
 
 class TestConsequentSearch:
