@@ -87,16 +87,18 @@ class Trapezoid:
         return self.h * (self.d - x) / (self.d - self.c)
 
     def membership_grid(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorised membership; handles vertical edges exactly."""
+        """Vectorised membership at increasing ``xs``; handles vertical edges
+        exactly.  The points fall in index ranges [a, b), [b, c] and (c, d],
+        found by bisection, and each range is written without a copy."""
         xs = np.asarray(xs, dtype=float)
-        out = np.zeros_like(xs)
-        out[(xs >= self.b) & (xs <= self.c)] = self.h
-        if self.b > self.a:
-            rise = (xs >= self.a) & (xs < self.b)
-            out[rise] = self.h * (xs[rise] - self.a) / (self.b - self.a)
-        if self.d > self.c:
-            fall = (xs > self.c) & (xs <= self.d)
-            out[fall] = self.h * (self.d - xs[fall]) / (self.d - self.c)
+        out = np.zeros(xs.shape)
+        i, j = xs.searchsorted((self.a, self.b))
+        k, m = xs.searchsorted((self.c, self.d), side="right")
+        out[j:k] = self.h
+        if j > i:  # a rising edge, so b > a
+            out[i:j] = self.h * (xs[i:j] - self.a) / (self.b - self.a)
+        if m > k:
+            out[k:m] = self.h * (self.d - xs[k:m]) / (self.d - self.c)
         return out
 
 

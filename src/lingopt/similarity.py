@@ -103,8 +103,8 @@ def sample_word(w: IT2Word, d: Discretization) -> SampledWord:
     UMF and LMF supports; for a valid word, the UMF support)."""
     _check_on_scale(w, d)
     grid = d.grid()
-    start = int(np.searchsorted(grid, min(w.umf.a, w.lmf.a), side="left"))
-    stop = int(np.searchsorted(grid, max(w.umf.d, w.lmf.d), side="right"))
+    start = int(grid.searchsorted(min(w.umf.a, w.lmf.a), side="left"))
+    stop = int(grid.searchsorted(max(w.umf.d, w.lmf.d), side="right"))
     xs = grid[start:stop]
     lower, upper = w.lmf.membership_grid(xs), w.umf.membership_grid(xs)
     return SampledWord(start, xs, lower, upper, float(upper.sum() + lower.sum()))
@@ -147,9 +147,11 @@ def _prepare_samples(xs: np.ndarray, lower: np.ndarray, upper: np.ndarray):
     mass = upper > 0.0
     if not mass.any():
         raise DegenerateWordError("all-zero membership: centroid undefined")
-    # zero-mass points cannot influence any weighted average; dropping them
-    # keeps every partial denominator strictly positive
-    return xs[mass], lower[mass], upper[mass]
+    # zero-mass points cannot influence any weighted average; trimming them off
+    # both ends (views, no copies) keeps every partial denominator positive: the
+    # left end's sums hold the first sample's ``upper``, the right end's the last
+    run = slice(int(mass.argmax()), mass.size - int(mass[::-1].argmax()))
+    return xs[run], lower[run], upper[run]
 
 
 def _ekm_endpoint(xs: np.ndarray, lower: np.ndarray, upper: np.ndarray, right: bool) -> float:
@@ -160,18 +162,19 @@ def _ekm_endpoint(xs: np.ndarray, lower: np.ndarray, upper: np.ndarray, right: b
     k = int(round(n / (1.7 if right else 2.4)))
     k = min(max(k, 1), n - 1)
     below, above = (lower, upper) if right else (upper, lower)
+    gap = upper - lower
     a = float(np.dot(xs[:k], below[:k]) + np.dot(xs[k:], above[k:]))
     b = float(below[:k].sum() + above[k:].sum())
     y = a / b
     for _ in range(n):
-        k_new = int(np.searchsorted(xs, y, side="right"))
+        k_new = int(xs.searchsorted(y, side="right"))
         k_new = min(max(k_new, 1), n - 1)
         if k_new == k:
             break
         sgn = (1.0 if k_new > k else -1.0) * (-1.0 if right else 1.0)
         s = slice(min(k, k_new), max(k, k_new))
-        a += sgn * float(np.dot(xs[s], upper[s] - lower[s]))
-        b += sgn * float((upper[s] - lower[s]).sum())
+        a += sgn * float(np.dot(xs[s], gap[s]))
+        b += sgn * float(gap[s].sum())
         y = a / b
         k = k_new
     return y

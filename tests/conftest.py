@@ -65,6 +65,22 @@ def classify_fou(w: IT2Word, scale: Interval, tol: float = 1e-9) -> FouShape:
     return FouShape.INTERIOR
 
 
+def membership_grid_oracle(t: Trapezoid, xs: np.ndarray) -> np.ndarray:
+    """``Trapezoid.membership_grid`` in its mask form: each of the ranges
+    [a, b), [b, c] and (c, d] is found by comparing every point, in any
+    order, and written through a boolean mask."""
+    xs = np.asarray(xs, dtype=float)
+    out = np.zeros_like(xs)
+    out[(xs >= t.b) & (xs <= t.c)] = t.h
+    if t.b > t.a:
+        rise = (xs >= t.a) & (xs < t.b)
+        out[rise] = t.h * (xs[rise] - t.a) / (t.b - t.a)
+    if t.d > t.c:
+        fall = (xs > t.c) & (xs <= t.d)
+        out[fall] = t.h * (t.d - xs[fall]) / (t.d - t.c)
+    return out
+
+
 def centroid_brute(w: IT2Word, d) -> Centroid:
     """Centroid oracle: exhaustive switch-point enumeration on ``d.grid()``.
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import FouShape, alpha_cut, classify_fou
+from conftest import FouShape, alpha_cut, classify_fou, membership_grid_oracle, random_word
 from lingopt.fuzzy import (
     DomainError,
     Interval,
@@ -55,6 +55,43 @@ class TestTrapezoid:
         t = Trapezoid(1.2, 2.5, 6.0, 8.8, h=0.7)
         xs = np.linspace(0, 10, 101)
         np.testing.assert_allclose(t.membership_grid(xs), [t.membership(x) for x in xs])
+
+
+def assert_grid_matches_oracle(t: Trapezoid, xs: np.ndarray) -> None:
+    assert t.membership_grid(xs).tobytes() == membership_grid_oracle(t, xs).tobytes(), t
+
+
+class TestMembershipGridOracle:
+    """The index-range form writes the same bits as the mask form."""
+
+    def test_random_words_on_grid_slices(self):
+        rng = np.random.default_rng(24)
+        for points in (101, 1001, 10001):
+            grid = np.linspace(0.0, 10.0, points)
+            for _ in range(100):
+                w = random_word(rng)
+                start, stop = np.sort(rng.integers(0, points + 1, 2))
+                for t in (w.umf, w.lmf):
+                    assert_grid_matches_oracle(t, grid)
+                    assert_grid_matches_oracle(t, grid[start:stop])
+
+    @pytest.mark.parametrize("vertices", [
+        (0.0, 0.0, 2.04, 3.84), (6.44, 7.96, 10.0, 10.0), (2.0, 2.0, 5.0, 5.0), (3.0, 3.0, 3.0, 3.0),
+        (4.0, 4.0, 4.0, 6.0), (1.0, 4.0, 4.0, 4.0), (0.0, 0.0, 10.0, 10.0), (2.05, 2.05, 7.95, 7.95),
+    ])
+    def test_vertical_edges(self, vertices):
+        for h in (1.0, 0.55):
+            assert_grid_matches_oracle(Trapezoid(*vertices, h), np.linspace(0.0, 10.0, 101))
+
+    def test_vertices_on_grid_points(self):
+        rng = np.random.default_rng(2024)
+        grid = np.linspace(0.0, 10.0, 201)
+        for _ in range(500):
+            # repeated indices make vertical edges and empty ranges
+            idx = np.sort(rng.integers(0, grid.size, 4))
+            t = Trapezoid(*grid[idx].tolist(), rng.uniform(0.2, 1.0))
+            assert_grid_matches_oracle(t, grid)
+            assert_grid_matches_oracle(t, grid[idx[0]:idx[3] + 1])
 
 
 class TestAlphaCut:

@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from conftest import assert_alpha_cuts_are_weighted_averages, decode
+from lingopt.codebook import CodebookError
 from lingopt.fuzzy import DomainError
 import lingopt.reasoning as reasoning
 from lingopt.reasoning import (
@@ -12,6 +15,7 @@ from lingopt.reasoning import (
     Rule,
     RuleBase,
     fire,
+    fire_rules,
     lwa,
     solve_molop,
     synthesize_consequent,
@@ -249,6 +253,43 @@ class TestSolve:
         )
         solve_molop(rb, ("A", "G", "P"), hma)
         assert calls == {"sample_word": 3 + extra, "centroid_ekm_from_samples": 3 + extra}
+
+
+UNKNOWN = "unknown word {!r}; codebook has ['VP', 'P', 'A', 'G', 'VG']"
+
+
+class TestSolveErrors:
+    """Each fault raises the error of the first check it fails: the input
+    count, then the input words, the antecedent words, whether any rule
+    fired, and last the consequent words."""
+
+    @pytest.mark.parametrize("antecedents,consequent,inputs,error,message", [
+        (("A", "G"), "G", ("A",), DomainError, "rule 'r1' expects 2 inputs, got 1"),
+        (("A", "YY"), "XX", ("ZZ",), DomainError, "rule 'r1' expects 2 inputs, got 1"),
+        (("A", "G"), "G", ("ZZ", "G"), CodebookError, UNKNOWN.format("ZZ")),
+        (("A", "YY"), "XX", ("ZZ", "G"), CodebookError, UNKNOWN.format("ZZ")),
+        (("A", "YY"), "XX", ("A", "G"), CodebookError, UNKNOWN.format("YY")),
+        (("VG", "VG"), "G", ("VP", "VP"), NoRuleFiredError,
+         "no rule fired for input ['VP', 'VP']; refusing to emit a default word"),
+        (("VG", "VG"), "XX", ("VP", "VP"), NoRuleFiredError,
+         "no rule fired for input ['VP', 'VP']; refusing to emit a default word"),
+        (("A", "G"), "XX", ("A", "G"), CodebookError, UNKNOWN.format("XX")),
+    ], ids=["count", "count-first", "input", "input-first", "antecedent-first", "no-fire",
+            "no-fire-first", "consequent"])
+    def test_error_class_and_message(self, hma, antecedents, consequent, inputs, error, message):
+        rb = RuleBase((Rule("r1", antecedents, ("P", consequent)),), (Objective("f1"), Objective("f2")))
+        with pytest.raises(error) as info:
+            solve_molop(rb, inputs, hma)
+        assert type(info.value) is error and str(info.value) == message
+
+    def test_fire_rules_checks_inputs_before_antecedents(self, hma):
+        rules = [Rule("r1", ("A", "YY"), ()), Rule("r2", ("A",), ())]
+        with pytest.raises(DomainError, match=r"^rule 'r2' expects 1 inputs, got 2$"):
+            fire_rules(rules, ("ZZ", "G"), hma.sampled())
+        with pytest.raises(CodebookError, match="^" + re.escape(UNKNOWN.format("ZZ")) + "$"):
+            fire_rules(rules[:1], ("ZZ", "G"), hma.sampled())
+        with pytest.raises(CodebookError, match="^" + re.escape(UNKNOWN.format("YY")) + "$"):
+            fire_rules(rules[:1], ("A", "G"), hma.sampled())
 
 
 class TestConsequentSearch:

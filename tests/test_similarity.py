@@ -6,12 +6,14 @@ import pytest
 from conftest import centroid_brute, random_word, translate
 from lingopt.codebook import MAX_GRID, Codebook
 from lingopt.fuzzy import DomainError, Interval, IT2Word, Trapezoid
+from lingopt.reasoning import lwa
 from lingopt.similarity import (
     JACCARD_CHUNK,
     Centroid,
     DegenerateWordError,
     Discretization,
     centroid_ekm,
+    centroid_ekm_from_samples,
     jaccard,
     jaccard_rows,
     rank_by_centroid,
@@ -127,6 +129,35 @@ class TestCentroid:
         w = IT2Word("between", Trapezoid(1, 1.5, 2, 2.5), Trapezoid(1.2, 1.5, 2, 2.3, h=0.9))
         with pytest.raises(DegenerateWordError):
             centroid_ekm(w, Discretization(3, Interval(0.0, 10.0)))
+
+    @pytest.mark.parametrize("upper", [[], [0.0, 0.0, 0.0]], ids=["empty", "all-zero"])
+    def test_sample_without_upper_mass_is_degenerate(self, upper):
+        xs = np.linspace(0.0, 1.0, len(upper))
+        with pytest.raises(DegenerateWordError, match="^all-zero membership: centroid undefined$"):
+            centroid_ekm_from_samples(xs, np.zeros(len(upper)), np.array(upper))
+
+    @pytest.mark.parametrize("whole_grid", [False, True], ids=["support", "whole-grid"])
+    def test_ekm_works_on_views_of_a_fine_sample(self, hma, whole_grid):
+        # an LWA output sampled on a fine grid, over its support as a solve
+        # samples it or over the whole grid: the zero-mass ends are trimmed
+        # as views, so one call's traced peak stays within three K-length
+        # float arrays, and the result is that of the masked copies
+        out = lwa([hma.word("A"), hma.word("G"), hma.word("P")], [1.0, 0.38, 0.6])
+        s = sample_word(out, hma.discretization(200001))
+        xs, lower, upper = s.xs, s.lower, s.upper
+        if whole_grid:
+            xs = hma.discretization(200001).grid()
+            lower, upper = out.lmf.membership_grid(xs), out.umf.membership_grid(xs)
+        tracemalloc.start()
+        try:
+            c = centroid_ekm_from_samples(xs, lower, upper)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert xs.size > 100000
+        assert peak <= 3 * xs.size * 8
+        keep = upper > 0.0
+        assert c == centroid_ekm_from_samples(xs[keep], lower[keep], upper[keep])
 
     def test_off_scale_word_rejected(self):
         w = IT2Word("off", Trapezoid(0, 1, 2, 3), Trapezoid(0.5, 1, 2, 2.5, h=0.9))
