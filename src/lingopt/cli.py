@@ -6,6 +6,10 @@
     lingopt export-fou       --codebook paper-hma --out fous.csv
     lingopt sample           --spec endpoints.txt --n 50 --seed 7 --out data.txt
 
+A ``solve`` report is ``key = value`` head lines, a blank line, a table whose
+first row names the columns, a blank line, then tail lines (the ranking or
+the optimum).  ``--format csv`` joins each line's whitespace-separated tokens
+by commas, so ``engine = pr`` prints as ``engine,=,pr``.
 Reports are deterministic: identical invocations produce identical bytes.
 Exit codes: 0 success, 2 usage error, 3 data/invariant error, 4 engine error.
 """
@@ -55,111 +59,67 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-class _Row:
-    """Minimal fixed-width column writer shared by the table reports."""
-
-    def __init__(self, widths):
-        self.widths = widths
-
-    def __call__(self, *cells) -> str:
-        return "  ".join(str(c).ljust(w) for c, w in zip(cells, self.widths)).rstrip()
+def _fmt(*xs: float) -> list[str]:
+    return [f"{x:.2f}" for x in xs]
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.2f}"
-
-
-def _emit(lines, fmt: str) -> str:
+def _report(head: dict, widths: list[int], rows, tail: list[str], fmt: str) -> str:
+    """The ``key = value`` head lines, a blank line, the table, a blank line,
+    then the tail lines.  The table's first row names the columns; each cell
+    is left-justified to its column's width and cells are two spaces apart.
+    As ``csv``, each line's whitespace-separated tokens are joined by commas."""
+    table = ["  ".join(str(c).ljust(w) for c, w in zip(row, widths)).rstrip() for row in rows]
+    lines = [*(f"{k} = {v}" for k, v in head.items()), "", *table, "", *tail]
     if fmt == "csv":
-        out = []
-        for line in lines:
-            out.append(",".join(line.split()))
-        return "\n".join(out) + "\n"
+        lines = [",".join(line.split()) for line in lines]
     return "\n".join(lines) + "\n"
 
 
-def _fou_cells(w: IT2Word) -> list[str]:
-    cells = [_fmt(v) for v in w.umf.vertices]
-    cells += [_fmt(v) for v in w.lmf.vertices]
-    cells.append(_fmt(w.lmf.h))
-    return cells
-
-
 def _solve_pr(bundle: ProblemBundle, args) -> str:
-    cb = load_codebook(args.codebook or bundle.codebook_id)
+    codebook = args.codebook or bundle.codebook_id
+    cb = load_codebook(codebook)
     result = solve_pr_bundle(bundle, cb, cb.discretization(args.grid))
-    row = _Row([11, 9] + [6] * 9 + [6, 6, 6, 4])
-    lines = [
-        "engine = pr",
-        f"problem = {bundle.name}",
-        f"codebook = {args.codebook or bundle.codebook_id}",
-        f"grid = {args.grid}",
-        "",
-        row(
-            "alternative", "objective",
-            "umf_a", "umf_b", "umf_c", "umf_d",
-            "lmf_a", "lmf_b", "lmf_c", "lmf_d", "lmf_h",
-            "cl", "cr", "mean", "word",
-        ),
-    ]
+    rows = [("alternative", "objective", "umf_a", "umf_b", "umf_c", "umf_d",
+             "lmf_a", "lmf_b", "lmf_c", "lmf_d", "lmf_h", "cl", "cr", "mean", "word")]
     for alt in bundle.alternatives:
         for obj, out in zip(bundle.objectives, result.outputs[alt.label]):
-            c = out.centroid
-            lines.append(
-                row(alt.label, obj.name, *_fou_cells(out.fou), _fmt(c.cl), _fmt(c.cr), _fmt(c.mean), out.decoded)
-            )
-    lines += ["", "ranking = " + " > ".join(result.ranking)]
-    return _emit(lines, args.format)
+            w, c = out.fou, out.centroid
+            cells = _fmt(*w.umf.vertices, *w.lmf.vertices, w.lmf.h, c.cl, c.cr, c.mean)
+            rows.append((alt.label, obj.name, *cells, out.decoded))
+    return _report({"engine": "pr", "problem": bundle.name, "codebook": codebook, "grid": args.grid},
+                   [11, 9] + [6] * 12 + [4], rows, ["ranking = " + " > ".join(result.ranking)], args.format)
 
 
 def _solve_two_tuple(bundle: ProblemBundle, args) -> str:
     result = solve_two_tuple_bundle(bundle)
-    row = _Row([11, 9, 5, 6, 6])
-    lines = [
-        "engine = two-tuple",
-        f"problem = {bundle.name}",
-        "",
-        row("alternative", "objective", "term", "alpha", "beta"),
-    ]
-    protruding = []
+    rows, protruding = [("alternative", "objective", "term", "alpha", "beta")], []
     for alt in bundle.alternatives:
         for obj, t in zip(bundle.objectives, result.outputs[alt.label]):
             term = bundle.term_set.label(t.index)
-            lines.append(row(alt.label, obj.name, term, _fmt(t.alpha), _fmt(t.beta)))
+            rows.append((alt.label, obj.name, term, *_fmt(t.alpha, t.beta)))
             protrusion = overflow_check(t, bundle.term_set)
             if protrusion > 0.0:
                 protruding.append(
                     f"overflow: {alt.label}/{obj.name} ({term}, {t.alpha:.2f}) "
                     f"protrudes {protrusion:.2f} term spacings past the scale"
                 )
-    lines += ["", "ranking = " + " > ".join(result.ranking)]
+    tail = ["ranking = " + " > ".join(result.ranking)]
     if protruding:
-        lines += ["", *protruding]
         if args.strict_scale:
-            raise OutOfScaleError(
-                f"{len(protruding)} output(s) protrude past the term scale (strict mode)"
-            )
-    return _emit(lines, args.format)
+            raise OutOfScaleError(f"{len(protruding)} output(s) protrude past the term scale (strict mode)")
+        tail += ["", *protruding]
+    return _report({"engine": "two-tuple", "problem": bundle.name}, [11, 9, 5, 6, 6], rows, tail, args.format)
 
 
 def _solve_tsukamoto(args) -> str:
     rules, constraint, directions = tsk.fixture(args.problem)
     result = tsk.optimize(rules, constraint, directions, step=args.step)
-    q = len(directions)
-    row = _Row([8] * (len(result.points[0]) + q))
-    headers = [f"y{i+1}" for i in range(len(result.points[0]))] + [f"f{k+1}" for k in range(q)]
-    lines = [
-        "engine = tsukamoto",
-        f"problem = {args.problem}",
-        f"step = {args.step:g}",
-        "",
-        row(*headers),
-    ]
-    for point, values in zip(result.points, result.values):
-        lines.append(row(*[f"{v:.4f}" for v in point], *[f"{v:.4f}" for v in values]))
+    n, q = len(result.points[0]), len(directions)
+    rows = [[f"y{i+1}" for i in range(n)] + [f"f{k+1}" for k in range(q)]]
+    rows += [[f"{v:.4f}" for v in (*point, *values)] for point, values in zip(result.points, result.values)]
     optimum = " ".join(f"{v:.4f}" for v in result.values[0])
-    lines += ["", f"optimum = {optimum}"]
-    return _emit(lines, args.format)
+    return _report({"engine": "tsukamoto", "problem": args.problem, "step": f"{args.step:g}"},
+                   [8] * (n + q), rows, [f"optimum = {optimum}"], args.format)
 
 
 def _cmd_solve(args) -> int:
@@ -171,13 +131,12 @@ def _cmd_solve(args) -> int:
                 f"the tsukamoto engine solves the crisp fixtures {'/'.join(map(repr, tsk.FIXTURES))}, "
                 f"not {args.problem!r}"
             )
-        sys.stdout.write(_solve_tsukamoto(args))
-        return 0
-    bundle = load_problem(args.problem)
-    if args.engine == "pr":
-        sys.stdout.write(_solve_pr(bundle, args))
+        report = _solve_tsukamoto(args)
+    elif args.engine == "pr":
+        report = _solve_pr(load_problem(args.problem), args)
     else:
-        sys.stdout.write(_solve_two_tuple(bundle, args))
+        report = _solve_two_tuple(load_problem(args.problem), args)
+    sys.stdout.write(report)
     return 0
 
 

@@ -13,7 +13,8 @@ header lines, then a ``word NAME`` line per word followed by that word's
 these files and in problem files, goes through ``add_field``, which refuses
 a line without ``=``, a key the section does not know and a key given twice.
 ``load_source`` is the one fixture-or-file lookup, behind ``load_codebook``,
-``problems.load_problem`` and the CLI's ``sample --spec``.  A codebook file::
+``problems.load_problem`` and the CLI's ``sample --spec``; it reads at most
+``MAX_FILE_BYTES`` of a file and refuses a larger one.  A codebook file::
 
     codebook v1
     scale = 0 10
@@ -57,6 +58,7 @@ CENTROID_CACHE_TOL = 0.05  # fixture centroids are printed to 2 decimals
 MAX_SCALE_END = 1e300  # 1e6 grid points x 1e300 stays finite, and so does hi - lo
 MAX_GRID = 1_000_001  # largest --grid accepted; the accuracy reference grid has 100001 points
 MAX_CELLS = 25 * MAX_GRID  # most V x N (or V x V) cells in a sampled codebook's arrays: 200 MB each
+MAX_FILE_BYTES = 16 * 2**20  # largest codebook, problem or end-point file read
 
 _T = TypeVar("_T")
 
@@ -356,14 +358,19 @@ def load_source(source: Union[str, Path], fixtures: Mapping[str, Callable[[], _T
                 parse: Callable[[str], _T], kind: str, error: type[LingoptError]) -> _T:
     """The fixture ``source`` names, built by its entry in ``fixtures``, or
     ``parse`` of the UTF-8 text of the file it names, less a leading
-    byte-order mark; otherwise ``error``."""
+    byte-order mark; otherwise ``error``, also for a file larger than
+    ``MAX_FILE_BYTES``."""
     if source in fixtures:
         return fixtures[source]()
     path = Path(source)
     if not path.exists():
         raise error(f"no such {kind} fixture or file: {source!r}")
+    with path.open("rb") as f:
+        data = f.read(MAX_FILE_BYTES + 1)
+    if len(data) > MAX_FILE_BYTES:
+        raise error(f"{kind} file {source!r} is larger than {MAX_FILE_BYTES} bytes")
     try:
-        text = path.read_text(encoding="utf-8").removeprefix("\ufeff")
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as e:
         raise error(f"{kind} file {source!r} is not UTF-8 text: byte {e.start} cannot be decoded") from None
     return parse(text)

@@ -40,7 +40,7 @@ import numpy as np
 
 from .codebook import Codebook, SampledCodebook
 from .fuzzy import DomainError, IT2Word, NoRuleFiredError, Trapezoid, check_direction, vertex_rows
-from .similarity import Centroid, Discretization, centroid_ekm_from_samples, sample_word
+from .similarity import Centroid, Discretization, centroid_ekm, centroid_ekm_from_samples, sample_word
 
 AUTO = "auto"  # consequent synthesised from antecedents, kept as a raw FOU
 AUTO_WORD = "auto-word"  # synthesised, then decoded to the nearest codebook word
@@ -213,7 +213,10 @@ def _best(names: Sequence[str], scores: Sequence[float]) -> str:
 
 
 def _decode_mean(mean: float, cb: Codebook) -> str:
-    return _best(cb.names, [-abs(w.centroid.mean - mean) for w in cb.words])
+    """The word whose centroid mean is nearest ``mean``; a word without a
+    centroid (a codebook built in code) gets the one the loader would fill."""
+    d = cb.discretization()
+    return _best(cb.names, [-abs((w.centroid or centroid_ekm(w, d)).mean - mean) for w in cb.words])
 
 
 # ---------------------------------------------------------------------------

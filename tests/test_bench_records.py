@@ -1,10 +1,12 @@
 """The committed BENCH_<pr>.json files keep the shape a perf claim is read
 from: runs that ``benchmarks/run.py`` recorded, each tagged with its side.
 Every run carries exactly the metrics BENCHMARK.json declares for its mode,
-no query failed, and each workload named was run on both sides.  No number
+no query failed, and each workload named was run on both sides, in pairs:
+the same multiset of seeds and the same ``seconds`` on each side.  No number
 is bounded here: the benchmark's own gate does that."""
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -29,3 +31,14 @@ def test_bench_file_shape(path):
         sides.setdefault(run["workload"], set()).add(run["side"])
     for workload, seen in sides.items():
         assert seen == {"parent", "change"}, workload
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=[p.name for p in BENCH_FILES])
+def test_bench_runs_are_paired(path):
+    runs: dict[tuple[str, str], list] = {}
+    for run in json.loads(path.read_text())["runs"]:
+        runs.setdefault((run["workload"], run["side"]), []).append(run)
+    for workload in {w for w, _ in runs}:
+        parent, change = runs.get((workload, "parent"), []), runs.get((workload, "change"), [])
+        assert Counter(r["seed"] for r in parent) == Counter(r["seed"] for r in change), workload
+        assert {r["seconds"] for r in parent + change} == {parent[0]["seconds"]}, workload

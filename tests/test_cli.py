@@ -9,7 +9,7 @@ import pytest
 
 from conftest import assert_report_matches, format_codebook, format_problem
 from lingopt.cli import MAX_GRID, MAX_SAMPLE_N, main
-from lingopt.codebook import load_codebook
+from lingopt.codebook import MAX_FILE_BYTES, load_codebook
 from lingopt.problems import case_solop
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -42,6 +42,19 @@ PR_REPORT_SHA256 = {
     ("case-molop", "paper-ia", 1001, "csv"): "f0e34efacb5a81c9d39b508059eeb703f1f43c135561a3c99c6c7259f87761d6",
     ("case-molop", "paper-ia", 10001, "table"): "67f9387fc1d8abe16b03c085403226139a1f763cf32b5d1e8678c5a33e4063d0",
     ("case-molop", "paper-ia", 10001, "csv"): "49c94b05d7c77977b0eaedaee329294ed39c5f8ebaa2fc2cbf17b5ac8ac23cea",
+}
+# sha256 of the `solve two-tuple` reports, which the goldens check only to a
+# tolerance, and of the `solve tsukamoto --format csv` reports, which no golden
+# covers; keyed by (engine, problem, format)
+REPORT_SHA256 = {
+    ("two-tuple", "case-solop", "table"): "c0827c6f1c519c8bd991c9525419424fa3a22c83eb1081bc47b1620b5321609d",
+    ("two-tuple", "case-solop", "csv"): "7df9e933feb3a36e809074b0ca249a2c858b38438a77089526f12a567f873f38",
+    ("two-tuple", "case-molop", "table"): "c7b233533841984d2f47f2fb1f7c1f03dd348d2579af00df786a0f5033ada637",
+    ("two-tuple", "case-molop", "csv"): "7817dded74b5de12a20f9e7653dfd4de41b50884f43ec3e6d7bdea0209d0db94",
+    ("two-tuple", "sm-toy", "table"): "19a519dd21739183ccfd4fc0a9007e77c26669d38800840ac894823b419da661",
+    ("two-tuple", "sm-toy", "csv"): "265fef405322d77fa6b1b9bad1f0ecff068725bf2af964864a93862fb565b29d",
+    ("tsukamoto", "sm-solop", "csv"): "eaa85b896f97fa2dfe3ccf82c60712cde550ff801e05764c9a43c23b18706c21",
+    ("tsukamoto", "sm-molop", "csv"): "a351c9466678701e7aee97629805001ee8ab75b078804eb78cbce4c21e9958d8",
 }
 EXPORT_FOU_CASE_MOLOP_SHA256 = "4466205a023c94c9827737aa671d1c05583970d6236acb53351bef978e12e7fe"
 
@@ -85,6 +98,12 @@ class TestGoldenReports:
                                "--grid", str(grid), "--format", fmt)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == PR_REPORT_SHA256[problem, codebook, grid, fmt]
+
+    @pytest.mark.parametrize("engine,problem,fmt", sorted(REPORT_SHA256))
+    def test_report_bytes(self, capsys, engine, problem, fmt):
+        code, out, _ = run_cli(capsys, "solve", engine, "--problem", problem, "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == REPORT_SHA256[engine, problem, fmt]
 
     def test_export_fou_problem_bytes(self, capsys):
         code, out, _ = run_cli(capsys, "export-fou", "--codebook", "paper-hma", "--problem", "case-molop",
@@ -283,11 +302,12 @@ class TestExitCodes:
         assert code == 3
 
     def test_engine_error_strict_scale(self, capsys):
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             capsys, "solve", "two-tuple", "--problem", "sm-toy", "--strict-scale"
         )
         assert code == 4
-        assert "engine error" in err
+        assert out == ""
+        assert err == "lingopt: engine error: 2 output(s) protrude past the term scale (strict mode)\n"
 
     def test_data_error_non_numeric_lmf(self, capsys, tmp_path):
         text = format_codebook(load_codebook("paper-hma"))
@@ -856,23 +876,56 @@ class TestExitCodes:
         assert row[-4:] == ["5.00", "5.00", "5.00", "A"]
 
     @staticmethod
-    def run_module(module: str) -> subprocess.CompletedProcess:
+    def run_module(module: str, *argv: str, **kwargs) -> subprocess.CompletedProcess:
         # the child process imports the package from this checkout, installed or not
         src = str(Path(__file__).parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         return subprocess.run(
-            [sys.executable, "-m", module, "solve", "two-tuple", "--problem", "case-solop"],
+            [sys.executable, "-m", module, *argv],
             capture_output=True,
             text=True,
             env=env,
+            **kwargs,
         )
 
     def test_console_entry_point(self):
-        out = self.run_module("lingopt.cli")
+        out = self.run_module("lingopt.cli", "solve", "two-tuple", "--problem", "case-solop")
         assert out.returncode == 0
         assert "ranking = SS2 > SS3 > SS4 > SS1" in out.stdout
 
     def test_package_runs_as_module(self):
-        out = self.run_module("lingopt")
+        out = self.run_module("lingopt", "solve", "two-tuple", "--problem", "case-solop")
         assert (out.returncode, out.stderr) == (0, "")
         assert "ranking = SS2 > SS3 > SS4 > SS1" in out.stdout
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero on this system")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "pr", "--problem", "/dev/zero"],
+            ["solve", "pr", "--problem", "case-solop", "--codebook", "/dev/zero"],
+            ["sample", "--spec", "/dev/zero", "--out", "-"],
+        ],
+        ids=["problem", "codebook", "spec"],
+    )
+    def test_data_error_endless_file(self, argv):
+        import resource
+
+        def cap_memory():
+            # a read without a bound then ends in a MemoryError, not in the host's memory
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        out = self.run_module("lingopt", *argv, preexec_fn=cap_memory, timeout=120)
+        assert (out.returncode, out.stdout) == (3, "")
+        self.assert_one_line(out.stderr, "data")
+        assert f"larger than {MAX_FILE_BYTES} bytes" in out.stderr
+
+    @pytest.mark.parametrize("size,refused", [(MAX_FILE_BYTES, False), (MAX_FILE_BYTES + 1, True)])
+    def test_data_error_file_past_the_size_bound(self, capsys, tmp_path, size, refused):
+        path = tmp_path / "big.txt"
+        with path.open("wb") as f:
+            f.truncate(size)  # sparse: no disk blocks behind the zero bytes
+        code, out, err = run_cli(capsys, "solve", "pr", "--problem", str(path))
+        assert (code, out) == (3, "")
+        self.assert_one_line(err, "data")
+        assert (f"larger than {MAX_FILE_BYTES} bytes" in err) is refused

@@ -1,10 +1,11 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import assert_alpha_cuts_are_weighted_averages, decode
-from lingopt.codebook import CodebookError
+from conftest import assert_alpha_cuts_are_weighted_averages, decode, format_codebook
+from lingopt.codebook import Codebook, CodebookError, parse_codebook
 from lingopt.fuzzy import DomainError
 import lingopt.reasoning as reasoning
 from lingopt.reasoning import (
@@ -253,6 +254,15 @@ class TestSolve:
         )
         solve_molop(rb, ("A", "G", "P"), hma)
         assert calls == {"sample_word": 3 + extra, "centroid_ekm_from_samples": 3 + extra}
+
+    def test_auto_word_decodes_a_codebook_built_in_code(self, hma):
+        # the loader fills each word's centroid; a codebook built in code has
+        # none, and the decode takes the centroid the loader would have filled
+        bare = Codebook(hma.scale, tuple(replace(w, centroid=None) for w in hma.words))
+        rb = RuleBase((Rule("r1", ("A", "G"), (AUTO_WORD,)),), (Objective("f1"),))
+        got, = solve_molop(rb, ("A", "G"), bare)
+        want, = solve_molop(rb, ("A", "G"), parse_codebook(format_codebook(bare)))
+        assert (got.fou.umf, got.fou.lmf, got.decoded) == (want.fou.umf, want.fou.lmf, want.decoded)
 
 
 UNKNOWN = "unknown word {!r}; codebook has ['VP', 'P', 'A', 'G', 'VG']"
