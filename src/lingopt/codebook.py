@@ -42,6 +42,7 @@ words on an N-point grid is refused when V x N or V x V exceeds
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -51,7 +52,7 @@ import numpy as np
 
 from .fuzzy import DomainError, Interval, IT2Word, LingoptError, Trapezoid, vertex_rows
 from .similarity import (DEFAULT_POINTS, Centroid, DegenerateWordError, Discretization, SampledWord,
-                         centroid_ekm_from_samples, jaccard_rows, sample_word)
+                         centroid_ekm, centroid_ekm_from_samples, jaccard_rows, sample_word)
 
 GENERATOR_NAME = "pcg64"  # numpy default_rng
 CENTROID_CACHE_TOL = 0.05  # fixture centroids are printed to 2 decimals
@@ -104,12 +105,12 @@ class DataIntervalSet:
 class Codebook:
     """Ordered vocabulary of IT2 words on a fixed scale.
 
-    The instance keeps two derived caches outside equality, hashing and
-    ``repr``: a name -> position map, and the ``SampledCodebook`` for the
-    grid ``sampled`` was last asked for.  The codebook and its words are
-    immutable, so neither can go stale.  A loaded codebook starts with the
-    sampling on its default grid; ``dataclasses.replace`` builds a new
-    instance, which starts without one.
+    The instance keeps three derived caches outside equality, hashing and
+    ``repr``: a name -> position map, the ``SampledCodebook`` for the grid
+    ``sampled`` was last asked for, and the ``centroid_means``.  The codebook
+    and its words are immutable, so none can go stale.  A loaded codebook
+    starts with the sampling on its default grid; ``dataclasses.replace``
+    builds a new instance, which starts without either.
     """
 
     scale: Interval
@@ -150,6 +151,14 @@ class Codebook:
             object.__setattr__(self, "_sampled", scb)
         return scb
 
+    @functools.cached_property
+    def centroid_means(self) -> tuple[float, ...]:
+        """Each word's centroid mean, in vocabulary order.  A word without a
+        centroid (a codebook built in code) gets the one the loader would
+        fill, from a sampling of its own on the default grid."""
+        d = self.discretization()
+        return tuple((w.centroid or centroid_ekm(w, d)).mean for w in self.words)
+
 
 def _unknown_word(name: str, names: Sequence[str]) -> CodebookError:
     return CodebookError(f"unknown word {name!r}; codebook has {list(names)}")
@@ -168,7 +177,8 @@ class SampledCodebook:
     refuses more than ``MAX_CELLS`` cells in the (V, N) or the (V, V) array
     before allocating any, then runs the on-scale check of ``sample_word``
     on every word, so a grid that does not cover the codebook raises
-    ``DomainError`` here.  ``rows`` stacks the words' UMF and LMF vertices
+    ``DomainError`` here.  ``starts`` and ``stops`` bound each word's support
+    as a range of grid indices.  ``rows`` stacks the words' UMF and LMF vertices
     as (V, 4) arrays and their LMF heights as a (V,) array.  Row x of
     ``jaccard`` is NaN until word x is first an input, then filled whole by
     ``scores``: firing and decoding run one kernel, and no row is filled
@@ -192,6 +202,8 @@ class SampledCodebook:
         self.upper, self.lower = np.zeros((v, d.points)), np.zeros((v, d.points))
         self.words = tuple(map(self._store, range(v), cb.words))  # vocabulary order
         self.mass = np.array([s.mass for s in self.words])
+        self.starts = tuple(s.start for s in self.words)
+        self.stops = tuple(s.start + s.xs.size for s in self.words)
         self.rows = vertex_rows(cb.words)  # (umf, lmf, lmf_h), the rows an LWA averages
         self.jaccard = np.full((v, v), np.nan)
 
@@ -218,8 +230,15 @@ class SampledCodebook:
         return self.jaccard[xs, ys]
 
     def scores(self, s: SampledWord) -> np.ndarray:
-        """Jaccard similarity of ``s`` to every word, in vocabulary order."""
-        return jaccard_rows(self.upper, self.lower, self.mass, s)
+        """Jaccard similarity of ``s`` to every word, in vocabulary order.  The
+        kernel runs on the rows from the first to the last word whose support
+        meets that of ``s``; the other scores are +0.0, as the kernel's are."""
+        start, stop = s.start, s.start + s.xs.size
+        meets = [v for v, (a, b) in enumerate(zip(self.starts, self.stops)) if a < stop and b > start]
+        band = slice(meets[0], meets[-1] + 1) if meets else slice(0)
+        out = np.zeros(len(self.mass))
+        out[band] = jaccard_rows(self.upper[band], self.lower[band], self.mass[band], s)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -359,12 +378,14 @@ def load_source(source: Union[str, Path], fixtures: Mapping[str, Callable[[], _T
     """The fixture ``source`` names, built by its entry in ``fixtures``, or
     ``parse`` of the UTF-8 text of the file it names, less a leading
     byte-order mark; otherwise ``error``, also for a file larger than
-    ``MAX_FILE_BYTES``."""
+    ``MAX_FILE_BYTES`` and for a FIFO or socket, which could block forever."""
     if source in fixtures:
         return fixtures[source]()
     path = Path(source)
     if not path.exists():
         raise error(f"no such {kind} fixture or file: {source!r}")
+    if path.is_fifo() or path.is_socket():
+        raise error(f"{kind} file {source!r} is a FIFO or socket, not a regular file")
     with path.open("rb") as f:
         data = f.read(MAX_FILE_BYTES + 1)
     if len(data) > MAX_FILE_BYTES:

@@ -89,16 +89,20 @@ class Trapezoid:
     def membership_grid(self, xs: np.ndarray) -> np.ndarray:
         """Vectorised membership at increasing ``xs``; handles vertical edges
         exactly.  The points fall in index ranges [a, b), [b, c] and (c, d],
-        found by bisection, and each range is written without a copy."""
+        found by bisection, and each ramp is computed in place in ``out``."""
         xs = np.asarray(xs, dtype=float)
         out = np.zeros(xs.shape)
         i, j = xs.searchsorted((self.a, self.b))
         k, m = xs.searchsorted((self.c, self.d), side="right")
         out[j:k] = self.h
         if j > i:  # a rising edge, so b > a
-            out[i:j] = self.h * (xs[i:j] - self.a) / (self.b - self.a)
+            rise = np.subtract(xs[i:j], self.a, out=out[i:j])
+            rise *= self.h
+            rise /= self.b - self.a
         if m > k:
-            out[k:m] = self.h * (self.d - xs[k:m]) / (self.d - self.c)
+            fall = np.subtract(self.d, xs[k:m], out=out[k:m])
+            fall *= self.h
+            fall /= self.d - self.c
         return out
 
 

@@ -25,9 +25,10 @@ adds its average as a row.  An ``auto-word`` entry takes the row of the word
 ``synthesize_consequent`` decodes: the one whose centroid is nearest that of
 the same average.  Only the output FOUs and the ``auto-word`` averages are
 sampled afresh, each on its own support.  A decode scores an output against
-every word at once, from the dense arrays over the output's support, by the
-kernel that fills the matrix's rows.  ``fire`` runs the same code for one
-rule through ``Codebook.sampled``.
+every word at once, by the kernel that fills the matrix's rows, reading the
+dense arrays over the output's support and only the rows of the words from
+the first to the last that meets it; the others score 0.  ``fire`` runs the
+same code for one rule through ``Codebook.sampled``.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 
 from .codebook import Codebook, SampledCodebook
 from .fuzzy import DomainError, IT2Word, NoRuleFiredError, Trapezoid, check_direction, vertex_rows
-from .similarity import Centroid, Discretization, centroid_ekm, centroid_ekm_from_samples, sample_word
+from .similarity import Centroid, Discretization, centroid_ekm_from_samples, sample_word
 
 AUTO = "auto"  # consequent synthesised from antecedents, kept as a raw FOU
 AUTO_WORD = "auto-word"  # synthesised, then decoded to the nearest codebook word
@@ -213,10 +214,8 @@ def _best(names: Sequence[str], scores: Sequence[float]) -> str:
 
 
 def _decode_mean(mean: float, cb: Codebook) -> str:
-    """The word whose centroid mean is nearest ``mean``; a word without a
-    centroid (a codebook built in code) gets the one the loader would fill."""
-    d = cb.discretization()
-    return _best(cb.names, [-abs((w.centroid or centroid_ekm(w, d)).mean - mean) for w in cb.words])
+    """The word whose centroid mean (``Codebook.centroid_means``) is nearest ``mean``."""
+    return _best(cb.names, [-abs(m - mean) for m in cb.centroid_means])
 
 
 # ---------------------------------------------------------------------------

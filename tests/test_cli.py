@@ -929,3 +929,37 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         self.assert_one_line(err, "data")
         assert (f"larger than {MAX_FILE_BYTES} bytes" in err) is refused
+
+    @pytest.mark.parametrize(
+        "kind,message",
+        [
+            ("fifo", "is a FIFO or socket, not a regular file"),
+            ("directory", "Is a directory"),
+            ("empty", "problem file must start with 'problem v1'"),
+            ("symlink-loop", "no such problem fixture or file"),
+        ],
+        ids=["fifo", "directory", "empty", "symlink-loop"],
+    )
+    def test_data_error_file_kinds(self, capsys, tmp_path, kind, message):
+        path = tmp_path / "input"
+        argv = ("solve", "pr", "--problem", str(path))
+        if kind == "fifo":
+            if not hasattr(os, "mkfifo"):
+                pytest.skip("no named pipes on this system")
+            os.mkfifo(path)
+            # no process writes to the pipe, so an ``open`` of it would wait
+            # forever: the child is stopped after 30 s, which fails the test
+            done = self.run_module("lingopt", *argv, timeout=30)
+            code, out, err = done.returncode, done.stdout, done.stderr
+        else:
+            if kind == "directory":
+                path.mkdir()
+            elif kind == "empty":
+                path.write_bytes(b"")
+            else:
+                path.symlink_to(tmp_path / "other")
+                (tmp_path / "other").symlink_to(path)
+            code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        self.assert_one_line(err, "data")
+        assert message in err

@@ -52,6 +52,7 @@ from lingopt.similarity import (
     centroid_ekm,
     centroid_ekm_from_samples,
     jaccard,
+    jaccard_rows,
     rank_by_centroid,
     sample_word,
 )
@@ -258,6 +259,35 @@ class TestDenseDecode:
             assert decode(fou, cb, d) == word
             np.testing.assert_allclose(scb.scores(s), scores, rtol=0.0, atol=1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.sampled_from([11, 101, 1001]), st.sampled_from(["none", "one", "every", "empty", "random"]))
+    def test_banded_scores_equal_the_full_rows(self, data, points, kind):
+        # the words lie in [0, 4] but for one loner in [6, 10], in a drawn
+        # order; the output meets no word, only the loner, every word (a UMF
+        # over the whole scale) or no grid point at all, or is any word
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        v = data.draw(st.integers(1, 6))
+        loner = data.draw(st.integers(0, v - 1))
+        regions = [(6.0, 10.0) if i == loner else (0.0, 4.0) for i in range(v)]
+        cb = Codebook(Interval(0.0, 10.0), tuple(replace(random_word(rng, *r), name=f"W{i}") for i, r in enumerate(regions)))
+        d = Discretization(points, cb.scale)
+        step = 10.0 / (points - 1)
+        x = int(rng.integers(points - 1)) * step  # an empty output lies between x and x + step
+        out = {
+            "none": lambda: random_word(rng, 4.2, 5.8),
+            "one": lambda: random_word(rng, 6.0, 10.0),
+            "every": lambda: IT2Word("out", Trapezoid(0.0, 0.0, 10.0, 10.0), random_word(rng).lmf),
+            "empty": lambda: random_word(rng, x + step / 4, x + 3 * step / 4),
+            "random": lambda: random_word(rng),
+        }[kind]()
+        scb, s = cb.sampled(d), sample_word(out, d)
+        scores = scb.scores(s)
+        assert scores.tobytes() == jaccard_rows(scb.upper, scb.lower, scb.mass, s).tobytes()
+        if kind in ("none", "empty"):
+            assert not scores.any() and (s.xs.size == 0 or kind == "none")
+        if kind == "one":
+            assert not np.delete(scores, loner).any()
+
 
 FIXTURE_PAIRS = [(a, b) for cb in map(load_codebook, ("paper-hma", "paper-ia")) for a in cb.words for b in cb.words]
 
@@ -443,9 +473,19 @@ class TestType1Decision:
     def test_decision_matches_allclose(self, data):
         n = data.draw(st.integers(2, 40))
         hi = np.array(data.draw(st.lists(st.floats(1e-6, 1.0), min_size=n, max_size=n)))
-        kind = data.draw(st.sampled_from(["equal", "boundary", "random"]))
+        kind = data.draw(st.sampled_from(["equal", "boundary", "random", "interior", "probe"]))
         if kind == "equal":
             lo = hi.copy()
+        elif kind in ("interior", "probe"):
+            # the samples equal but one: with "interior" the three probes
+            # (first, middle, last) pass and another sample fails, with
+            # "probe" a probe fails and every other sample passes
+            probes = {0, n // 2, n - 1}
+            bad = sorted(set(range(n)) - probes if kind == "interior" else probes)
+            assume(bad)
+            lo = hi.copy()
+            i = data.draw(st.sampled_from(bad))
+            lo[i] = hi[i] * data.draw(st.floats(0.0, 0.5))
         elif kind == "boundary":  # |lo - hi| a few ulps either side of 1e-5 * hi
             lo = hi - 1e-5 * hi
             ulps = np.array(data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
@@ -461,7 +501,7 @@ class TestType1Decision:
             c = float(np.dot(xs, hi) / hi.sum())
             want = (c, c)
         else:
-            want = (_ekm_endpoint(xs, lo, hi, right=False), _ekm_endpoint(xs, lo, hi, right=True))
+            want = (_ekm_endpoint(xs, lo, hi, hi - lo, right=False), _ekm_endpoint(xs, lo, hi, hi - lo, right=True))
         # both ends are kept inside the samples
         want = [min(max(y, float(xs[0])), float(xs[-1])) for y in want]
         got = centroid_ekm_from_samples(xs, lo, hi)

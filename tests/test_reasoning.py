@@ -7,6 +7,7 @@ import pytest
 from conftest import assert_alpha_cuts_are_weighted_averages, decode, format_codebook
 from lingopt.codebook import Codebook, CodebookError, parse_codebook
 from lingopt.fuzzy import DomainError
+import lingopt.codebook as codebook
 import lingopt.reasoning as reasoning
 from lingopt.reasoning import (
     AUTO,
@@ -263,6 +264,24 @@ class TestSolve:
         got, = solve_molop(rb, ("A", "G"), bare)
         want, = solve_molop(rb, ("A", "G"), parse_codebook(format_codebook(bare)))
         assert (got.fou.umf, got.fou.lmf, got.decoded) == (want.fou.umf, want.fou.lmf, want.decoded)
+
+    def test_code_built_codebook_computes_each_centroid_once(self, hma, monkeypatch):
+        # the centroid means are kept with the codebook: two solves of three
+        # ``auto-word`` rules compute each word's centroid once, and the
+        # sampling kept for the solves' grid stays in its slot
+        calls = []
+        ekm = codebook.centroid_ekm
+        monkeypatch.setattr(codebook, "centroid_ekm", lambda w, d: calls.append((w.name, d)) or ekm(w, d))
+        bare = Codebook(hma.scale, tuple(replace(w, centroid=None) for w in hma.words))
+        rules = [Rule(f"r{i}", ants, (AUTO_WORD,)) for i, ants in enumerate([("A", "G"), ("P", "G"), ("A", "VG")])]
+        rb = RuleBase(tuple(rules), (Objective("f1"),))
+        grid = bare.discretization(201)
+        scb = bare.sampled(grid)
+        first, = solve_molop(rb, ("A", "G"), bare, grid)
+        second, = solve_molop(rb, ("A", "G"), bare, grid)
+        assert calls == [(name, bare.discretization()) for name in bare.names]
+        assert bare.sampled(grid) is scb
+        assert (second.fou.umf, second.fou.lmf, second.decoded) == (first.fou.umf, first.fou.lmf, first.decoded)
 
 
 UNKNOWN = "unknown word {!r}; codebook has ['VP', 'P', 'A', 'G', 'VG']"

@@ -159,6 +159,20 @@ class TestCentroid:
         keep = upper > 0.0
         assert c == centroid_ekm_from_samples(xs[keep], lower[keep], upper[keep])
 
+    def test_ekm_of_an_it2_output_allocates_one_gap(self, hma):
+        # an IT2 output fails the type-1 test at a scalar probe, so one call's
+        # traced peak is the ``gap`` both ends share, with little beside it
+        out = lwa([hma.word("A"), hma.word("G"), hma.word("P")], [1.0, 0.38, 0.6])
+        s = sample_word(out, hma.discretization(200001))
+        tracemalloc.start()
+        try:
+            centroid_ekm_from_samples(s.xs, s.lower, s.upper)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s.xs.size > 100000
+        assert peak <= 1.5 * s.xs.size * 8
+
     def test_off_scale_word_rejected(self):
         w = IT2Word("off", Trapezoid(0, 1, 2, 3), Trapezoid(0.5, 1, 2, 2.5, h=0.9))
         with pytest.raises(DomainError, match="exceeds scale"):
